@@ -11,12 +11,12 @@ is exact.
 __version__ = "0.1.0"
 
 from .coefficients import (
-    CoeffCache,
     CoeffKey,
     binom,
     chi,
     coeff,
     coeff_by_binom_reduction,
+    coeff_by_closed_form,
     coeff_by_recurrence,
     coeff_by_series,
     multinomial_oracle,
@@ -62,7 +62,6 @@ from .trinomial import (
 )
 
 __all__ = [
-    "CoeffCache",
     "CoeffKey",
     "ColumnGF",
     "FNumberSeq",
@@ -82,6 +81,7 @@ __all__ = [
     "chi",
     "coeff",
     "coeff_by_binom_reduction",
+    "coeff_by_closed_form",
     "coeff_by_recurrence",
     "coeff_by_series",
     "column_gf",

@@ -2,19 +2,27 @@
 
 ``coeff(n, k, m)`` is the coefficient of t^k in (1 + t + ... + t^m)^n for any
 integer n (negative included), with the convention that it is 0 for k < 0.
-Three independent algorithms are provided so each can serve as an oracle for
-the others: direct series expansion, row-by-row recurrence with memoization,
-and recursive reduction of the degree m down to ordinary binomials.
+
+The default path computes row prefixes by the paper's horizontal recurrence
+T2-ix, k<n,k> = sum_{i<=m} ((n+1)i - k) <n,k-i>, which is J.C.P. Miller's
+rule for powers of a series (``series.power``).  It needs no earlier row, so
+a prefix of length k of any row, of either sign, costs O(k m) operations; a
+small bounded memo serves repeated reads.  Direct series expansion
+(``coeff_by_series``) goes through the same ``power`` helper, so it checks
+the plumbing rather than the recurrence.  The independent oracles, which
+share no code path with Miller's rule, are the closed form
+sum_j (-1)^j C(n,j) C(n+k-j(m+1)-1, k-j(m+1)), the recursive reduction of
+the degree m down to ordinary binomials, and (for n >= 0) the multinomial
+enumeration.
 """
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import NegativeN
-from .series import TruncatedSeries
+from .series import TruncatedSeries, power
 
 
 @dataclass(frozen=True)
@@ -56,83 +64,35 @@ def chi(m: int, k: int) -> int:
     return 0
 
 
-class CoeffCache:
-    """Memoized triangle rows keyed by (n, m); safe for concurrent use.
-
-    Rows with n >= 0 are built by convolving the previous row with
-    1 + t + ... + t^m and are stored over their whole support 0..mn.
-    Rows with n < 0 are obtained by exact deconvolution of the same
-    relation (a left-to-right solve, valid because the constant term is 1)
-    and are extended on demand.
-    """
-
-    def __init__(self):
-        self._rows: dict[tuple[int, int], list[int]] = {}
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def row_prefix(self, n: int, m: int, length: int) -> list[int]:
-        """A list of at least ``length`` coefficients of row n (n >= 0 rows
-        may be shorter when their full support already ends earlier)."""
-        with self._lock:
-            row = self._rows.get((n, m))
-            if row is not None and (
-                len(row) >= length or (n >= 0 and len(row) == m * n + 1)
-            ):
-                self.hits += 1
-                return row
-            self.misses += 1
-            if n >= 0:
-                return self._build_nonnegative(n, m)
-            return self._extend_negative(n, m, length)
-
-    def _build_nonnegative(self, n: int, m: int) -> list[int]:
-        rows = self._rows
-        if (0, m) not in rows:
-            rows[(0, m)] = [1]
-        j = n
-        while j > 0 and (j, m) not in rows:
-            j -= 1
-        prev = rows[(j, m)]
-        for i in range(j + 1, n + 1):
-            cur = [0] * (m * i + 1)
-            for idx, c in enumerate(prev):
-                if c:
-                    for d in range(m + 1):
-                        cur[idx + d] += c
-            rows[(i, m)] = cur
-            prev = cur
-        return rows[(n, m)]
-
-    def _extend_negative(self, n: int, m: int, length: int) -> list[int]:
-        rows = self._rows
-        need = max(length, 1)
-        if (0, m) not in rows:
-            rows[(0, m)] = [1]
-        for j in range(-1, n - 1, -1):
-            row = rows.setdefault((j, m), [])
-            if len(row) >= need:
-                continue
-            parent = rows[(j + 1, m)]
-            for k in range(len(row), need):
-                acc = parent[k] if k < len(parent) else 0
-                for i in range(1, min(m, k) + 1):
-                    acc -= row[k - i]
-                row.append(acc)
-        return rows[(n, m)]
+# Bound on the memoized row prefixes.  A deep verification run reads about
+# 380,000 coefficients from fewer than 2,000 distinct short prefixes, and 256
+# entries already serve 98% of those reads; one far row (|n| in the hundreds)
+# takes up to a few hundred kilobytes, so the bound also caps what a stream of
+# far rows keeps alive.
+_ROW_MEMO_SIZE = 256
 
 
-_DEFAULT_CACHE = CoeffCache()
+@lru_cache(maxsize=_ROW_MEMO_SIZE)
+def _row_prefix(n: int, m: int, limit: int) -> tuple[int, ...]:
+    return tuple(power((1,) * (m + 1), n, limit + 1))
 
 
-def coeff_by_recurrence(n: int, k: int, m: int, cache: CoeffCache | None = None) -> int:
-    """Row-building algorithm backed by the shared cache (the default path)."""
+def _prefix(n: int, m: int, k: int) -> tuple[int, ...]:
+    """A memoized prefix of row n that reaches index k, or the whole row
+    when n >= 0 and its support ends earlier.  The length is rounded up to
+    a power of two so that nearby requests share one entry."""
+    limit = (1 << k.bit_length()) - 1
+    if n >= 0 and limit > m * n:
+        limit = m * n
+    return _row_prefix(n, m, limit)
+
+
+def coeff_by_recurrence(n: int, k: int, m: int) -> int:
+    """Miller's row recurrence T2-ix, read through the row memo (the default path)."""
     _require_degree(m)
     if k < 0 or (n >= 0 and k > m * n):
         return 0
-    c = cache if cache is not None else _DEFAULT_CACHE
-    return c.row_prefix(n, m, k + 1)[k]
+    return _prefix(n, m, k)[k]
 
 
 def coeff_by_series(n: int, k: int, m: int) -> int:
@@ -158,7 +118,7 @@ def binom(n: int, k: int) -> int:
     return sign * math.comb(-n + k - 1, k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 16)
 def _reduce_degree(n: int, k: int, m: int) -> int:
     if k < 0:
         return 0
@@ -178,18 +138,29 @@ def coeff_by_binom_reduction(n: int, k: int, m: int) -> int:
     return _reduce_degree(n, k, m)
 
 
-def coeff(n: int, k: int, m: int, cache: CoeffCache | None = None) -> int:
-    """The default algorithm: memoized row recurrence."""
-    return coeff_by_recurrence(n, k, m, cache)
+def coeff_by_closed_form(n: int, k: int, m: int) -> int:
+    """The closed form of (1 - t^(m+1))^n (1 - t)^(-n), in O(k/m) terms:
+    sum_j (-1)^j C(n, j) C(n + k - j(m+1) - 1, k - j(m+1))."""
+    _require_degree(m)
+    total = 0
+    for j in range(k // (m + 1) + 1):
+        r = k - j * (m + 1)
+        term = binom(n, j) * binom(n + r - 1, r)
+        total += -term if j & 1 else term
+    return total
 
 
-def row(n: int, m: int, limit: int, cache: CoeffCache | None = None) -> list[int]:
+def coeff(n: int, k: int, m: int) -> int:
+    """The default algorithm: Miller's row recurrence T2-ix."""
+    return coeff_by_recurrence(n, k, m)
+
+
+def row(n: int, m: int, limit: int) -> list[int]:
     """Coefficients of row n for k = 0..limit, zero-padded beyond the support."""
     _require_degree(m)
     if limit < 0:
         raise ValueError("limit must be non-negative")
-    c = cache if cache is not None else _DEFAULT_CACHE
-    prefix = c.row_prefix(n, m, limit + 1)
+    prefix = _prefix(n, m, limit)
     out = list(prefix[: limit + 1])
     out.extend([0] * (limit + 1 - len(out)))
     return out

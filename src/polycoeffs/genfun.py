@@ -13,14 +13,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coefficients import coeff
+from .coefficients import _require_degree, coeff
 from .errors import MismatchError
 from .series import IntPolynomial, TruncatedSeries, solve_carlitz_y
-
-
-def _require_degree(m: int) -> None:
-    if m < 1:
-        raise ValueError("m must be at least 1")
 
 
 def _shift_kernel(m: int) -> IntPolynomial:

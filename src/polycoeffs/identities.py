@@ -137,13 +137,8 @@ class GaussianInt:
         if n < 0:
             raise ValueError("negative Gaussian powers are not needed here")
         result = GaussianInt(1, 0)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
+        for _ in range(n):
+            result = result * self
         return result
 
 
@@ -223,12 +218,8 @@ def _check_addition(grid) -> Iterator[CheckPoint]:
 
 def _bivariate_power(base: dict, exponent: int) -> dict:
     result = {(0, 0): 1}
-    while exponent:
-        if exponent & 1:
-            result = _bivariate_mul(result, base)
-        exponent >>= 1
-        if exponent:
-            base = _bivariate_mul(base, base)
+    for _ in range(exponent):
+        result = _bivariate_mul(result, base)
     return result
 
 

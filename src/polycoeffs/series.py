@@ -3,15 +3,53 @@
 Coefficients are arbitrary-precision: plain ``int`` wherever the arithmetic
 stays integral, ``fractions.Fraction`` otherwise.  Both interoperate freely,
 and a value is integer-valued exactly when its denominator is 1.
+
+Every integer power, of a series or of a polynomial, goes through ``power``:
+J.C.P. Miller's recurrence, which for (1 + t + ... + t^m)^n is the paper's
+horizontal recurrence T2-ix.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import NonzeroInnerConstant, ZeroConstantTerm
 
 Scalar = Union[int, Fraction]
+
+
+def power(a: Sequence[Scalar], e: int, length: int) -> list[Scalar]:
+    """The first ``length`` coefficients of A(t)^e, for A(t) = sum a_i t^i.
+
+    J.C.P. Miller's rule (Knuth, TAOCP vol. 2, section 4.7): B = A^e satisfies
+    A B' = e A' B, which at t^(k-1) reads
+    k a_0 b_k = sum_{i>=1} ((e+1) i - k) a_i b_{k-i}.
+    It holds for every integer e, needs nothing but ``a``, and costs
+    O(len(a)) operations per coefficient.  A zero constant term is shifted
+    out when e >= 0 and raises ``ZeroConstantTerm`` when e < 0.  Integer
+    input gives integers when e >= 0 or a_0 = +-1 (every division is then
+    exact), and ``Fraction`` coefficients otherwise.
+    """
+    if e == 0:
+        return [1] + [0] * (length - 1)
+    shift = next((i for i, c in enumerate(a) if c), None)
+    if shift != 0:
+        if e < 0:
+            raise ZeroConstantTerm("a series with zero constant term has no negative powers")
+        out: list[Scalar] = [0] * length
+        if shift is not None and shift * e < length:
+            out[shift * e:] = power(a[shift:], e, length - shift * e)
+        return out
+    a0 = a[0]
+    exact = (e >= 0 or a0 in (1, -1)) and all(isinstance(c, int) for c in a)
+    b: list[Scalar] = [a0 ** abs(e) if exact else Fraction(a0) ** e]
+    top = min(len(a), length) - 1
+    for k in range(1, length):
+        acc = 0
+        for i in range(1, min(k, top) + 1):
+            acc += ((e + 1) * i - k) * a[i] * b[k - i]
+        b.append(acc // (k * a0) if exact else Fraction(acc, k * a0))
+    return b
 
 
 class TruncatedSeries:
@@ -99,43 +137,15 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse up to the truncation order.
+        """Multiplicative inverse up to the truncation order, ``self ** -1``.
 
-        Solved coefficient by coefficient from the Cauchy product; when the
-        constant term is 1 every inverse coefficient stays in the same ring
-        as the input (no denominators appear).
+        When the constant term is +-1 every inverse coefficient stays in the
+        same ring as the input (no denominators appear).
         """
-        c0 = self.coeffs[0]
-        if c0 == 0:
-            raise ZeroConstantTerm("series with zero constant term is not invertible")
-        if c0 == 1:
-            inv0: Scalar = 1
-        elif c0 == -1:
-            inv0 = -1
-        else:
-            inv0 = Fraction(1, 1) / c0
-        a = self.coeffs
-        out: list[Scalar] = [1 * inv0]
-        for k in range(1, self.order + 1):
-            acc = 0
-            for i in range(1, k + 1):
-                acc += a[i] * out[k - i]
-            out.append(-acc * inv0)
-        return TruncatedSeries(out)
+        return TruncatedSeries(power(self.coeffs, -1, self.order + 1))
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = TruncatedSeries([1], self.order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return TruncatedSeries(power(self.coeffs, exponent, self.order + 1))
 
     def derivative(self) -> "TruncatedSeries":
         """Termwise derivative; the order drops by one."""
@@ -260,16 +270,7 @@ class IntPolynomial:
     def __pow__(self, exponent: int) -> "IntPolynomial":
         if exponent < 0:
             raise ValueError("polynomial powers must be non-negative")
-        result = IntPolynomial([1])
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return IntPolynomial(power(self.coeffs, exponent, self.degree * exponent + 1))
 
     def shifted(self, j: int) -> "IntPolynomial":
         """Multiply by x^j."""

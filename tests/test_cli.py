@@ -43,6 +43,17 @@ def test_coeff_json_roundtrip(runner):
     assert int(payload["value"]) == coeff(-7, 33, 4)
 
 
+@pytest.mark.parametrize(
+    "n,k,expected",
+    [("1000000", "1", "1000000"), ("-1000000", "2", "499999500000")],
+)
+def test_coeff_far_rows(runner, n, k, expected):
+    # one coefficient of a far row costs O(k m), whatever |n| is
+    result = invoke(runner, "coeff", "-n", n, "-k", k, "-m", "2")
+    assert result.exit_code == 0
+    assert result.output.strip() == expected
+
+
 def test_coeff_rejects_bad_degree(runner):
     result = invoke(runner, "coeff", "-n", "1", "-k", "1", "-m", "0")
     assert result.exit_code == 2

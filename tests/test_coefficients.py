@@ -1,5 +1,6 @@
-"""Tests for the coefficient algorithms, their cache, and cross-agreement."""
+"""Tests for the coefficient algorithms, their row memo, and cross-agreement."""
 import math
+import sys
 import threading
 
 import pytest
@@ -7,12 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polycoeffs.coefficients import (
-    CoeffCache,
     CoeffKey,
+    _row_prefix,
     binom,
     chi,
     coeff,
     coeff_by_binom_reduction,
+    coeff_by_closed_form,
     coeff_by_recurrence,
     coeff_by_series,
     multinomial_oracle,
@@ -79,7 +81,8 @@ def test_degree_three_rows(n, values):
 
 
 @pytest.mark.parametrize(
-    "fn", [coeff_by_series, coeff_by_recurrence, coeff_by_binom_reduction]
+    "fn",
+    [coeff_by_series, coeff_by_recurrence, coeff_by_binom_reduction, coeff_by_closed_form],
 )
 def test_all_algorithms_reproduce_degree_three(fn):
     for n, values in ROWS_DEGREE_3.items():
@@ -100,10 +103,18 @@ def test_known_point_values():
     assert coeff_by_binom_reduction(3, 3, 3) == 10
     assert coeff_by_binom_reduction(-1, 8, 3) == 1
     assert coeff(2, 2, 2) == 3
+    assert coeff_by_closed_form(-2, 5, 3) == -4
+    assert coeff_by_closed_form(3, 10, 3) == 0
 
 
 def test_degree_rejected_below_one():
-    for fn in (coeff, coeff_by_series, coeff_by_recurrence, coeff_by_binom_reduction):
+    for fn in (
+        coeff,
+        coeff_by_series,
+        coeff_by_recurrence,
+        coeff_by_binom_reduction,
+        coeff_by_closed_form,
+    ):
         with pytest.raises(ValueError):
             fn(1, 1, 0)
 
@@ -181,45 +192,91 @@ def test_oracle_agreement_sampled():
                 assert multinomial_oracle(n, k, m) == coeff(n, k, m)
 
 
+def pascal_row(n, m, length):
+    """Row n, k = 0..length-1, by Pascal's rule alone: row 0 convolved n times
+    with 1 + t + ... + t^m, or deconvolved -n times (a left-to-right solve,
+    valid because the constant term is 1).  Shares no code with the package."""
+    current = [1] + [0] * (length - 1)
+    for _ in range(abs(n)):
+        following = []
+        for k in range(length):
+            window = range(1, min(m, k) + 1)
+            if n > 0:
+                following.append(current[k] + sum(current[k - i] for i in window))
+            else:
+                following.append(current[k] - sum(following[k - i] for i in window))
+        current = following
+    return current
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_rows_match_pascal_oracle(m):
+    for n in range(-8, 9):
+        assert row(n, m, 49) == pascal_row(n, m, 50), n
+
+
+@given(st.integers(-300, 300), st.integers(1, 5), st.data())
+def test_differential_against_independent_oracles(n, m, data):
+    k = data.draw(st.integers(0, m * abs(n) + 5), label="k")
+    expected = coeff_by_closed_form(n, k, m)
+    assert coeff(n, k, m) == expected
+    assert row(n, m, k)[k] == expected
+    if abs(n) <= 12 and k <= 40:
+        assert coeff_by_binom_reduction(n, k, m) == expected
+    if 0 <= n <= 6:
+        assert multinomial_oracle(n, k, m) == expected
+
+
 def test_cache_transparency():
-    warm = CoeffCache()
-    for n in (-4, -1, 0, 2, 5):
-        for k in range(12):
-            first = coeff(n, k, 3, cache=warm)
-            again = coeff(n, k, 3, cache=warm)
-            cold = coeff(n, k, 3, cache=CoeffCache())
-            assert first == again == cold
+    # a short prefix, then a longer one, then single reads, from a cold memo
+    _row_prefix.cache_clear()
+    for n in (-7, -4, -1, 0, 2, 5):
+        for m in (2, 3):
+            short = row(n, m, 5)
+            long = row(n, m, 40)
+            singles = [coeff(n, k, m) for k in range(41)]
+            assert short == long[:6]
+            assert long == singles == pascal_row(n, m, 41)
 
 
 def test_cache_counts_hits_and_misses():
-    cache = CoeffCache()
-    coeff(4, 2, 2, cache=cache)
-    misses = cache.misses
-    coeff(4, 1, 2, cache=cache)
-    assert cache.hits >= 1
-    assert cache.misses == misses
+    # reads within one rounded prefix length share a single memo entry
+    _row_prefix.cache_clear()
+    coeff(4, 2, 2)
+    before = _row_prefix.cache_info()
+    coeff(4, 3, 2)
+    after = _row_prefix.cache_info()
+    assert after.hits == before.hits + 1
+    assert after.misses == before.misses
 
 
 def test_cache_extends_negative_rows():
-    cache = CoeffCache()
-    assert coeff(-3, 4, 3, cache=cache) == 3
-    # longer request afterwards must extend, not corrupt
-    assert row(-3, 3, 9, cache=cache) == ROWS_DEGREE_3[-3]
+    _row_prefix.cache_clear()
+    assert coeff(-3, 4, 3) == 3
+    # a longer request afterwards must extend, not corrupt
+    assert row(-3, 3, 9) == ROWS_DEGREE_3[-3]
 
 
 def test_cache_is_thread_safe():
-    cache = CoeffCache()
-    expected = row(-6, 3, 40)
+    _row_prefix.cache_clear()
+    expected = pascal_row(-6, 3, 41)
     results = []
 
     def worker():
-        results.append(row(-6, 3, 40, cache=cache))
+        results.append(row(-6, 3, 40))
 
     threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 8
     assert all(r == expected for r in results)
 
 

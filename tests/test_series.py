@@ -10,6 +10,7 @@ from polycoeffs.series import (
     IntPolynomial,
     TruncatedSeries,
     from_poly,
+    power,
     solve_carlitz_y,
 )
 
@@ -148,6 +149,66 @@ def test_mul_by_inverse_is_one(a):
 @given(unit_series, st.integers(-4, 4), st.integers(-4, 4))
 def test_pow_adds_exponents(a, e1, e2):
     assert a ** (e1 + e2) == (a ** e1) * (a ** e2)
+
+
+def _repeated_product(coeffs, e, length):
+    # e-fold product by the schoolbook series multiplication, not by power()
+    base = TruncatedSeries(coeffs, length - 1)
+    result = TruncatedSeries([1], length - 1)
+    for _ in range(e):
+        result = result * base
+    return list(result.coeffs)
+
+
+@given(
+    st.lists(st.integers(-9, 9), min_size=1, max_size=6),
+    st.integers(0, 6),
+    st.integers(1, 12),
+    st.booleans(),
+)
+def test_power_matches_repeated_multiplication(coeffs, e, length, fractional):
+    # covers zero and non-unit constant terms, and the zero series
+    if fractional:
+        coeffs = [Fraction(c, 3) for c in coeffs]
+    got = power(coeffs, e, length)
+    assert got == _repeated_product(coeffs, e, length)
+    if not fractional:
+        assert all(isinstance(c, int) for c in got)
+
+
+@given(
+    st.integers(-9, 9).filter(bool),
+    st.lists(st.integers(-9, 9), max_size=5),
+    st.integers(1, 5),
+    st.integers(1, 12),
+    st.booleans(),
+)
+def test_negative_power_inverts_repeated_multiplication(c0, tail, e, length, fractional):
+    coeffs = [c0] + tail
+    if fractional:
+        coeffs = [Fraction(c, 3) for c in coeffs]
+    got = power(coeffs, -e, length)
+    product = TruncatedSeries(got) * TruncatedSeries(_repeated_product(coeffs, e, length))
+    assert product == TruncatedSeries([1], length - 1)
+    if fractional or c0 not in (1, -1):
+        assert all(isinstance(c, Fraction) for c in got)
+    else:
+        assert all(isinstance(c, int) for c in got)
+
+
+def test_power_negative_needs_nonzero_constant():
+    with pytest.raises(ZeroConstantTerm):
+        power([0, 1, 1], -2, 4)
+
+
+def test_int_polynomial_power_with_zero_constant_term():
+    s_squared = IntPolynomial([0, 4, -3])
+    expected = IntPolynomial([1])
+    for e in range(7):
+        assert s_squared ** e == expected
+        expected = expected * s_squared
+    assert IntPolynomial() ** 0 == IntPolynomial([1])
+    assert IntPolynomial() ** 3 == IntPolynomial()
 
 
 @given(st.lists(st.integers(-9, 9), min_size=0, max_size=6))
