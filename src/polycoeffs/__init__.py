@@ -11,7 +11,6 @@ is exact.
 __version__ = "0.1.0"
 
 from .coefficients import (
-    CoeffKey,
     binom,
     chi,
     coeff,
@@ -47,7 +46,6 @@ from .identities import (
 )
 from .series import IntPolynomial, TruncatedSeries, from_poly, solve_carlitz_y
 from .trinomial import (
-    GegenbauerEval,
     NumericCheck,
     brafman_partial,
     dilcher_sum,
@@ -62,11 +60,9 @@ from .trinomial import (
 )
 
 __all__ = [
-    "CoeffKey",
     "ColumnGF",
     "FNumberSeq",
     "GaussianInt",
-    "GegenbauerEval",
     "IdentityReport",
     "IdentitySpec",
     "IntPolynomial",

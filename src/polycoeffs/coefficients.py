@@ -18,24 +18,10 @@ enumeration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import NegativeN
 from .series import TruncatedSeries, power
-
-
-@dataclass(frozen=True)
-class CoeffKey:
-    """The triple (n, k, m) indexing one coefficient; m must be at least 1."""
-
-    n: int
-    k: int
-    m: int
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("m must be at least 1")
 
 
 def _require_degree(m: int) -> None:

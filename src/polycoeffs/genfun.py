@@ -4,8 +4,11 @@ The k-th column of the triangle is generated by
 P_k(x) / (1 - x)^(k+1) on the non-negative rows and by a mirrored companion
 on the negative rows, where P_k is an integer polynomial.  Diagonals of the
 form <a + b*k, k> are generated by a Carlitz-style construction driven by the
-solution of y = x * p_m(y)^b.  Every series built here is checked against
-direct coefficient computation before it is returned.
+solution of y = x * p_m(y)^b, whose coefficients Lagrange inversion gives
+directly (``series.solve_carlitz_y``).  The construction itself, composition
+with the polynomials p_m and p_m', a power and an inverse, is independent of
+that formula.  Every series built here is checked against direct coefficient
+computation before it is returned.
 """
 from __future__ import annotations
 
@@ -209,15 +212,16 @@ def carlitz_gf(a: int, b: int, m: int, order: int) -> TruncatedSeries:
     """The diagonal generating series sum_k <a + b*k, k>_m x^k.
 
     Built as p_m(y)^(a+1) / (p_m(y) - b y p_m'(y)) with y(x) solving
-    y = x p_m(y)^b; every coefficient up to ``order`` is verified against
-    direct computation before the series is returned.
+    y = x p_m(y)^b; p_m and p_m' enter ``compose`` unpadded, so each
+    substitution takes m + 1 Horner steps.  Every coefficient up to ``order``
+    is verified against direct computation before the series is returned.
     """
     _require_degree(m)
     if order < 0:
         raise ValueError("order must be non-negative")
     y = solve_carlitz_y(m, b, order)
-    pm = TruncatedSeries([1] * (m + 1), order)
-    pm_prime = TruncatedSeries(list(range(1, m + 1)), order)
+    pm = TruncatedSeries([1] * (m + 1))
+    pm_prime = TruncatedSeries(range(1, m + 1))
     py = pm.compose(y)
     denominator = py - (y * pm_prime.compose(y)) * b
     series = (py ** (a + 1)) * denominator.inverse()

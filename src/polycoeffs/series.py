@@ -25,10 +25,11 @@ def power(a: Sequence[Scalar], e: int, length: int) -> list[Scalar]:
     A B' = e A' B, which at t^(k-1) reads
     k a_0 b_k = sum_{i>=1} ((e+1) i - k) a_i b_{k-i}.
     It holds for every integer e, needs nothing but ``a``, and costs
-    O(len(a)) operations per coefficient.  A zero constant term is shifted
-    out when e >= 0 and raises ``ZeroConstantTerm`` when e < 0.  Integer
-    input gives integers when e >= 0 or a_0 = +-1 (every division is then
-    exact), and ``Fraction`` coefficients otherwise.
+    O(deg A) operations per coefficient, however far ``a`` is zero-padded.
+    A zero constant term is shifted out when e >= 0 and raises
+    ``ZeroConstantTerm`` when e < 0.  Integer input gives integers when
+    e >= 0 or a_0 = +-1 (every division is then exact), and ``Fraction``
+    coefficients otherwise.
     """
     if e == 0:
         return [1] + [0] * (length - 1)
@@ -43,7 +44,7 @@ def power(a: Sequence[Scalar], e: int, length: int) -> list[Scalar]:
     a0 = a[0]
     exact = (e >= 0 or a0 in (1, -1)) and all(isinstance(c, int) for c in a)
     b: list[Scalar] = [a0 ** abs(e) if exact else Fraction(a0) ** e]
-    top = min(len(a), length) - 1
+    top = max(i for i, c in enumerate(a) if c)
     for k in range(1, length):
         acc = 0
         for i in range(1, min(k, top) + 1):
@@ -179,23 +180,20 @@ def from_poly(coeffs: Iterable[Scalar], order: int) -> TruncatedSeries:
 def solve_carlitz_y(m: int, b: int, order: int) -> TruncatedSeries:
     """The unique series y(x) with y(0) = 0 and y = x * p_m(y)^b.
 
-    Fixed-point iteration starting from y = 0 gains at least one correct
-    coefficient per pass, so at most ``order + 1`` passes are needed; the
-    loop exits early once the iterate stops changing.
+    Lagrange inversion gives it in closed form: [x^k] y is
+    [t^(k-1)] p_m(t)^(b k) / k, that is <b k, k-1>_m / k, each read off one
+    ``power`` call.  The division is exact because y = x * p_m(y)^b has
+    integer coefficients: p_m^b has constant term 1, so solving for y term by
+    term never divides.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
     if order < 0:
         raise ValueError("order must be non-negative")
-    pm = TruncatedSeries([1] * (m + 1), order)
-    x = TruncatedSeries([0, 1], order)
-    y = TruncatedSeries([0], order)
-    for _ in range(order + 1):
-        y_next = x * (pm.compose(y) ** b)
-        if y_next == y:
-            break
-        y = y_next
-    return y
+    pm = (1,) * (m + 1)
+    return TruncatedSeries(
+        [0] + [power(pm, b * k, k)[k - 1] // k for k in range(1, order + 1)]
+    )
 
 
 class IntPolynomial:

@@ -27,16 +27,6 @@ _GL_POINTS = list(zip(_GL_NODES.tolist(), _GL_WEIGHTS.tolist()))
 
 
 @dataclass(frozen=True)
-class GegenbauerEval:
-    """One ultraspherical polynomial evaluation record."""
-
-    alpha: int
-    degree: int
-    argument: Fraction
-    value: Fraction
-
-
-@dataclass(frozen=True)
 class NumericCheck:
     """A float comparison with an explicit tolerance."""
 
@@ -71,11 +61,6 @@ def gegenbauer(alpha: int, degree: int, argument) -> Fraction:
     x = Fraction(argument)
     base = TruncatedSeries([1, -2 * x, 1], degree)
     return Fraction((base ** (-alpha))[degree])
-
-
-def gegenbauer_eval(alpha: int, degree: int, argument) -> GegenbauerEval:
-    arg = Fraction(argument)
-    return GegenbauerEval(alpha, degree, arg, gegenbauer(alpha, degree, arg))
 
 
 def dilcher_sum(n: int, k: int) -> float:

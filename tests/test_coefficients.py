@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polycoeffs.coefficients import (
-    CoeffKey,
     _row_prefix,
     binom,
     chi,
@@ -32,12 +31,6 @@ ROWS_DEGREE_3 = {
     2: [1, 2, 3, 4, 3, 2, 1, 0, 0, 0],
     3: [1, 3, 6, 10, 12, 12, 10, 6, 3, 1],
 }
-
-
-def test_coeff_key_validates_degree():
-    assert CoeffKey(3, 4, 3).m == 3
-    with pytest.raises(ValueError):
-        CoeffKey(1, 1, 0)
 
 
 def test_chi_degree_three():

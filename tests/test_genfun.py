@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from polycoeffs.coefficients import coeff
+from polycoeffs.coefficients import coeff, coeff_by_closed_form
 from polycoeffs.errors import MismatchError
 from polycoeffs.genfun import (
     carlitz_gf,
@@ -160,6 +160,14 @@ def test_carlitz_self_check_grid(m):
     for a in range(-2, 3):
         for b in range(-2, 3):
             carlitz_gf(a, b, m, 12)  # raises MismatchError on disagreement
+
+
+@pytest.mark.parametrize("a, b, m", [(0, 1, 2), (1, -1, 2), (2, -3, 4)])
+def test_carlitz_high_order(a, b, m):
+    series = carlitz_gf(a, b, m, 120)  # raises MismatchError on disagreement
+    assert series.order == 120
+    if (a, b, m) == (0, 1, 2):
+        assert series.coeffs == tuple(coeff_by_closed_form(k, k, 2) for k in range(121))
 
 
 def test_euler_generating_function():

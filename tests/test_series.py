@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polycoeffs.coefficients import coeff_by_closed_form
 from polycoeffs.errors import NonzeroInnerConstant, ZeroConstantTerm
 from polycoeffs.series import (
     IntPolynomial,
@@ -201,6 +202,27 @@ def test_power_negative_needs_nonzero_constant():
         power([0, 1, 1], -2, 4)
 
 
+@given(
+    st.lists(st.integers(-9, 9), max_size=6),
+    st.integers(0, 8),
+    st.integers(-4, 6),
+    st.integers(1, 12),
+    st.booleans(),
+)
+def test_power_ignores_zero_padding(coeffs, z, e, length, fractional):
+    # the all-zero list and a zero constant term are drawn too
+    if fractional:
+        coeffs = [Fraction(c, 3) for c in coeffs]
+    padded = coeffs + [0] * z
+    if e < 0 and not (coeffs and coeffs[0]):
+        with pytest.raises(ZeroConstantTerm):
+            power(padded, e, length)
+        return
+    got, want = power(padded, e, length), power(coeffs, e, length)
+    assert got == want
+    assert [type(c) for c in got] == [type(c) for c in want]
+
+
 def test_int_polynomial_power_with_zero_constant_term():
     s_squared = IntPolynomial([0, 4, -3])
     expected = IntPolynomial([1])
@@ -219,16 +241,38 @@ def test_inverse_of_integer_unit_series_is_integral(tail):
     assert all(c.denominator == 1 for c in inv.coeffs)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
-@pytest.mark.parametrize("b", [-2, -1, 0, 1, 2])
-def test_carlitz_solution_residual_vanishes(m, b):
-    order = 12
+def _assert_carlitz_residual_vanishes(m, b, order):
+    # y = x p_m(y)^b checked through compose, not through Lagrange inversion
     y = solve_carlitz_y(m, b, order)
+    assert y.order == order
     assert y.coeffs[0] == 0
-    pm = TruncatedSeries([1] * (m + 1), order)
+    pm = TruncatedSeries([1] * (m + 1))
     x = TruncatedSeries([0, 1], order)
     residual = y - x * (pm.compose(y) ** b)
     assert residual == TruncatedSeries([0], order)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("b", [-2, -1, 0, 1, 2])
+def test_carlitz_solution_residual_vanishes(m, b):
+    _assert_carlitz_residual_vanishes(m, b, 12)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("b", [-2, -1, 0, 1, 2])
+@pytest.mark.parametrize("order", [0, 40])
+def test_carlitz_solution_residual_vanishes_at_order(m, b, order):
+    _assert_carlitz_residual_vanishes(m, b, order)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("b", [-3, -2, -1, 0, 1, 2, 3])
+def test_carlitz_solution_matches_closed_form(m, b):
+    # Lagrange inversion: k [x^k] y = <b k, k - 1>_m, from the closed-form oracle
+    y = solve_carlitz_y(m, b, 60)
+    assert all(isinstance(c, int) for c in y.coeffs)
+    for k in range(1, 61):
+        assert y[k] * k == coeff_by_closed_form(b * k, k - 1, m)
 
 
 def test_carlitz_b_zero_is_x():

@@ -12,7 +12,6 @@ from polycoeffs.trinomial import (
     brafman_partial,
     dilcher_sum,
     gegenbauer,
-    gegenbauer_eval,
     hgf_series,
     integral_coeff,
     numeric_binomial_check,
@@ -39,12 +38,6 @@ def test_gegenbauer_connection_both_conventions(n):
         value = coeff(n, k, 2)
         assert gegenbauer(-n, k, Fraction(-1, 2)) == value
         assert (-1) ** k * gegenbauer(-n, k, Fraction(1, 2)) == value
-
-
-def test_gegenbauer_eval_record():
-    record = gegenbauer_eval(-2, 3, Fraction(-1, 2))
-    assert record.value == gegenbauer(-2, 3, Fraction(-1, 2))
-    assert record.argument == Fraction(-1, 2)
 
 
 def test_pochhammer():
