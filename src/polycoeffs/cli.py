@@ -177,11 +177,12 @@ def _emit_reports(reports, fmt):
         for r in reports:
             status = "ok" if r.passed else "FAIL"
             click.echo(f"{status} {r.id} checked={r.checked} failures={len(r.failures)}")
-            for rendered in r.to_dict()["failures"][:3]:
-                click.echo(
-                    f"    at {rendered['params']}: "
-                    f"lhs={rendered['lhs']} rhs={rendered['rhs']}"
+            for rendered in r.rendered_failures(3):
+                detail = (
+                    f"raised {rendered['error']}" if "error" in rendered
+                    else f"lhs={rendered['lhs']} rhs={rendered['rhs']}"
                 )
+                click.echo(f"    at {rendered['params']}: {detail}")
 
 
 @cli.command("verify")

@@ -6,8 +6,8 @@ integer n (negative included), with the convention that it is 0 for k < 0.
 The default path computes row prefixes by the paper's horizontal recurrence
 T2-ix, k<n,k> = sum_{i<=m} ((n+1)i - k) <n,k-i>, which is J.C.P. Miller's
 rule for powers of a series (``series.power``).  It needs no earlier row, so
-a prefix of length k of any row, of either sign, costs O(k m) operations; a
-small bounded memo serves repeated reads.  Direct series expansion
+a prefix of length k of any row, of either sign, costs O(k m) operations and
+nothing is kept between calls.  Direct series expansion
 (``coeff_by_series``) goes through the same ``power`` helper, so it checks
 the plumbing rather than the recurrence.  The independent oracles, which
 share no code path with Miller's rule, are the closed form
@@ -50,35 +50,12 @@ def chi(m: int, k: int) -> int:
     return 0
 
 
-# Bound on the memoized row prefixes.  A deep verification run reads about
-# 380,000 coefficients from fewer than 2,000 distinct short prefixes, and 256
-# entries already serve 98% of those reads; one far row (|n| in the hundreds)
-# takes up to a few hundred kilobytes, so the bound also caps what a stream of
-# far rows keeps alive.
-_ROW_MEMO_SIZE = 256
-
-
-@lru_cache(maxsize=_ROW_MEMO_SIZE)
-def _row_prefix(n: int, m: int, limit: int) -> tuple[int, ...]:
-    return tuple(power((1,) * (m + 1), n, limit + 1))
-
-
-def _prefix(n: int, m: int, k: int) -> tuple[int, ...]:
-    """A memoized prefix of row n that reaches index k, or the whole row
-    when n >= 0 and its support ends earlier.  The length is rounded up to
-    a power of two so that nearby requests share one entry."""
-    limit = (1 << k.bit_length()) - 1
-    if n >= 0 and limit > m * n:
-        limit = m * n
-    return _row_prefix(n, m, limit)
-
-
 def coeff_by_recurrence(n: int, k: int, m: int) -> int:
-    """Miller's row recurrence T2-ix, read through the row memo (the default path)."""
+    """Miller's row recurrence T2-ix (the default path)."""
     _require_degree(m)
     if k < 0 or (n >= 0 and k > m * n):
         return 0
-    return _prefix(n, m, k)[k]
+    return power((1,) * (m + 1), n, k + 1)[k]
 
 
 def coeff_by_series(n: int, k: int, m: int) -> int:
@@ -146,9 +123,9 @@ def row(n: int, m: int, limit: int) -> list[int]:
     _require_degree(m)
     if limit < 0:
         raise ValueError("limit must be non-negative")
-    prefix = _prefix(n, m, limit)
-    out = list(prefix[: limit + 1])
-    out.extend([0] * (limit + 1 - len(out)))
+    width = limit if n < 0 else min(limit, m * n)
+    out = power((1,) * (m + 1), n, width + 1)
+    out.extend([0] * (limit - width))
     return out
 
 

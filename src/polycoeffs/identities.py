@@ -68,19 +68,19 @@ class IdentityReport:
     def passed(self) -> bool:
         return not self.failures
 
+    def rendered_failures(self, limit: int | None = None) -> list[dict]:
+        """The first ``limit`` failures (all by default), values as text."""
+        return [
+            {k: dict(v) if k == "params" else _render(v) for k, v in f.items()}
+            for f in self.failures[:limit]
+        ]
+
     def to_dict(self) -> dict:
         return {
             "id": self.id,
             "grid": self.grid,
             "checked": self.checked,
-            "failures": [
-                {
-                    "params": dict(f["params"]),
-                    "lhs": _render(f["lhs"]),
-                    "rhs": _render(f["rhs"]),
-                }
-                for f in self.failures
-            ],
+            "failures": self.rendered_failures(),
         }
 
 
@@ -102,19 +102,18 @@ def _grid_text(grid: Mapping[str, Any]) -> str:
     return ", ".join(parts)
 
 
-def _support_end(n: int, m: int) -> int:
-    # cap: natural support for n >= 0, the mirrored width for n < 0
-    return m * n if n >= 0 else m * (-n)
+def _k_last(n: int, m: int) -> int:
+    # natural support for n >= 0, the mirrored width for n < 0, plus the margin
+    return m * abs(n) + SUPPORT_MARGIN
 
 
 def _k_values(n: int, m: int) -> range:
-    return range(-2, _support_end(n, m) + SUPPORT_MARGIN + 1)
+    return range(-2, _k_last(n, m) + 1)
 
 
 def _at(values: list[int], k: int) -> int:
-    if 0 <= k < len(values):
-        return values[k]
-    return 0
+    # past the fetched prefix this raises: a negative row does not end in zeros
+    return values[k] if k >= 0 else 0
 
 
 @dataclass(frozen=True)
@@ -162,29 +161,32 @@ def gaussian_pow(m: int, n: int) -> GaussianInt:
 def _check_factorial_expansion(grid) -> Iterator[CheckPoint]:
     for m in grid["m"]:
         for n in grid["n"]:
+            values = row(n, m, _k_last(n, m))
             for k in _k_values(n, m):
                 yield (
                     {"m": m, "n": n, "k": k},
                     multinomial_oracle(n, k, m) if k >= 0 else 0,
-                    coeff(n, k, m),
+                    _at(values, k),
                 )
 
 
 def _check_symmetry(grid) -> Iterator[CheckPoint]:
     for m in grid["m"]:
         for n in grid["n"]:
+            values = row(n, m, _k_last(n, m))
             for k in _k_values(n, m):
-                yield ({"m": m, "n": n, "k": k}, coeff(n, k, m), coeff(n, m * n - k, m))
+                yield ({"m": m, "n": n, "k": k}, _at(values, k), _at(values, m * n - k))
 
 
 def _check_absorption(grid) -> Iterator[CheckPoint]:
     for m in grid["m"]:
         for n in grid["n"]:
+            values, prior = row(n, m, _k_last(n, m)), row(n - 1, m, _k_last(n, m))
             for k in _k_values(n, m):
                 if k == 0:
                     continue
-                lhs = k * coeff(n, k, m)
-                rhs = n * sum(i * coeff(n - 1, k - i, m) for i in range(1, m + 1))
+                lhs = k * _at(values, k)
+                rhs = n * sum(i * _at(prior, k - i) for i in range(1, m + 1))
                 yield ({"m": m, "n": n, "k": k}, lhs, rhs)
 
 
@@ -195,25 +197,26 @@ def _vandermonde_cap(r: int, s: int, m: int) -> int:
 
 
 def _check_vandermonde(grid) -> Iterator[CheckPoint]:
+    pairs = [(r, s) for r in grid["r"] for s in grid["s"]]
+    indices = {n for r, s in pairs for n in (r, s, r + s)}
     for m in grid["m"]:
-        for r in grid["r"]:
-            for s in grid["s"]:
-                kmax = _vandermonde_cap(r, s, m)
-                row_r = row(r, m, kmax)
-                row_s = row(s, m, kmax)
-                row_rs = row(r + s, m, kmax)
-                for k in range(-1, kmax + 1):
-                    lhs = sum(row_r[i] * row_s[k - i] for i in range(k + 1))
-                    yield ({"m": m, "r": r, "s": s, "k": k}, lhs, _at(row_rs, k))
+        limit = max(_vandermonde_cap(r, s, m) for r, s in pairs)
+        rows = {n: row(n, m, limit) for n in indices}
+        for r, s in pairs:
+            kmax = _vandermonde_cap(r, s, m)
+            row_r, row_s, row_rs = rows[r], rows[s], rows[r + s]
+            for k in range(-1, kmax + 1):
+                lhs = sum(row_r[i] * row_s[k - i] for i in range(k + 1))
+                yield ({"m": m, "r": r, "s": s, "k": k}, lhs, _at(row_rs, k))
 
 
 def _check_addition(grid) -> Iterator[CheckPoint]:
     for m in grid["m"]:
         for n in grid["n"]:
+            values, prior = row(n, m, _k_last(n, m)), row(n - 1, m, _k_last(n, m))
             for k in _k_values(n, m):
-                lhs = coeff(n, k, m)
-                rhs = sum(coeff(n - 1, k - i, m) for i in range(m + 1))
-                yield ({"m": m, "n": n, "k": k}, lhs, rhs)
+                rhs = sum(_at(prior, k - i) for i in range(m + 1))
+                yield ({"m": m, "n": n, "k": k}, _at(values, k), rhs)
 
 
 def _bivariate_power(base: dict, exponent: int) -> dict:
@@ -236,11 +239,7 @@ def _check_binomial_theorem(grid) -> Iterator[CheckPoint]:
     # exact bivariate expansion; valid verbatim for n >= 0
     for m in grid["m"]:
         for n in grid["n"]:
-            lhs = {
-                (k, m * n - k): coeff(n, k, m)
-                for k in range(m * n + 1)
-                if coeff(n, k, m)
-            }
+            lhs = {(k, m * n - k): c for k, c in enumerate(row(n, m, m * n)) if c}
             base = {(i, m - i): 1 for i in range(m + 1)}
             rhs = _bivariate_power(base, n)
             yield (
@@ -253,22 +252,24 @@ def _check_binomial_theorem(grid) -> Iterator[CheckPoint]:
 def _check_upper_summation(grid) -> Iterator[CheckPoint]:
     for m in grid["m"]:
         for n in grid["n"]:
-            for k in range(0, m * n + SUPPORT_MARGIN + 1):
-                lhs = sum(coeff(l, k, m) for l in range(n + 1))
-                rhs = sum(
-                    chi(m - 1, i) * coeff(n + 1, k - i + 1, m) for i in range(k + 1)
-                )
+            kmax = m * n + SUPPORT_MARGIN
+            rows = [row(l, m, kmax) for l in range(n + 1)]
+            upper = row(n + 1, m, kmax + 1)
+            for k in range(0, kmax + 1):
+                lhs = sum(values[k] for values in rows)
+                rhs = sum(chi(m - 1, i) * upper[k - i + 1] for i in range(k + 1))
                 yield ({"m": m, "n": n, "k": k}, lhs, rhs)
 
 
 def _check_parallel_summation(grid) -> Iterator[CheckPoint]:
     for m in grid["m"]:
         for r in grid["r"]:
+            diagonal = [coeff(r + k, m * k, m) for k in range(max(grid["n"]) + 1)]
             for n in grid["n"]:
-                lhs = sum(coeff(r + k, m * k, m) for k in range(n + 1))
+                lhs = sum(diagonal[: n + 1])
+                values = row(r + n + 1, m, m * r + 1)
                 rhs = sum(
-                    chi(m - 1, i) * coeff(r + n + 1, m * r - i + 1, m)
-                    for i in range(m * r + 1)
+                    chi(m - 1, i) * values[m * r - i + 1] for i in range(m * r + 1)
                 )
                 yield ({"m": m, "r": r, "n": n}, lhs, rhs)
 
@@ -276,10 +277,11 @@ def _check_parallel_summation(grid) -> Iterator[CheckPoint]:
 def _check_horizontal(grid) -> Iterator[CheckPoint]:
     for m in grid["m"]:
         for n in grid["n"]:
+            values = row(n, m, _k_last(n, m))
             for k in _k_values(n, m):
-                lhs = k * coeff(n, k, m)
+                lhs = k * _at(values, k)
                 rhs = sum(
-                    ((n + 1) * i - k) * coeff(n, k - i, m) for i in range(1, m + 1)
+                    ((n + 1) * i - k) * _at(values, k - i) for i in range(1, m + 1)
                 )
                 yield ({"m": m, "n": n, "k": k}, lhs, rhs)
 
@@ -287,9 +289,10 @@ def _check_horizontal(grid) -> Iterator[CheckPoint]:
 def _check_chi_convolution(grid) -> Iterator[CheckPoint]:
     for m in grid["m"]:
         for n in grid["n"]:
+            values, prior = row(n, m, _k_last(n, m)), row(n - 1, m, _k_last(n, m))
             for k in _k_values(n, m):
-                lhs = sum(chi(m, j) * coeff(n, k - j, m) for j in range(max(k, 0) + 1))
-                yield ({"m": m, "n": n, "k": k}, lhs, coeff(n - 1, k, m))
+                lhs = sum(chi(m, j) * _at(values, k - j) for j in range(max(k, 0) + 1))
+                yield ({"m": m, "n": n, "k": k}, lhs, _at(prior, k))
 
 
 def _check_f_numbers_column(grid) -> Iterator[CheckPoint]:
@@ -347,11 +350,14 @@ def _check_parity_sums(grid) -> Iterator[CheckPoint]:
 
 def _check_shifted_products(grid) -> Iterator[CheckPoint]:
     for m in grid["m"]:
+        # the right-hand sides read row r + s out to m(r + s) + SUPPORT_MARGIN + q
+        rows = [
+            row(n, m, m * n + SUPPORT_MARGIN + max(grid["q"]))
+            for n in range(max(grid["r"]) + max(grid["s"]) + 1)
+        ]
         for r in grid["r"]:
             for s in grid["s"]:
-                row_r = row(r, m, m * r)
-                row_s = row(s, m, m * s)
-                row_rs = row(r + s, m, m * (r + s))
+                row_r, row_s, row_rs = rows[r], rows[s], rows[r + s]
                 for q in grid["q"]:
                     for k in range(-(m * r + SUPPORT_MARGIN), m * s + SUPPORT_MARGIN + 1):
                         lo = max(-q, -k)
@@ -420,13 +426,18 @@ def _check_quadrinomial_squares(grid) -> Iterator[CheckPoint]:
 def _check_binomial_weightings(grid) -> Iterator[CheckPoint]:
     for m in grid["m"]:
         for n in grid["n"]:
-            values = row(n, m, m * n)
-            for k in range(0, m * n + SUPPORT_MARGIN + 1):
-                lhs1 = sum(binom(n, l) * coeff(l, k, m) for l in range(n + 1))
+            kmax = m * n + SUPPORT_MARGIN
+            rows = [row(l, m, kmax) for l in range(n + 1)]
+            # degree 0 means the base polynomial is the constant 1
+            lower = [
+                row(j, m - 1, kmax) if m > 1 else [1] + [0] * kmax
+                for j in range(n + 1)
+            ]
+            values = rows[n]
+            for k in range(0, kmax + 1):
+                lhs1 = sum(binom(n, l) * rows[l][k] for l in range(n + 1))
                 rhs1 = sum(
-                    (2 ** (n - j))
-                    * binom(n, j)
-                    * _coeff_allowing_degenerate(j, k - j, m - 1)
+                    (2 ** (n - j)) * binom(n, j) * _at(lower[j], k - j)
                     for j in range(n + 1)
                 )
                 yield ({"m": m, "n": n, "k": k, "side": "first"}, lhs1, rhs1)
@@ -590,14 +601,19 @@ def build_registry(profile: Profile | str = "desk") -> list[IdentitySpec]:
 
 
 def run_identity(spec: IdentitySpec) -> IdentityReport:
-    """Evaluate one identity over its whole grid, collecting all failures."""
+    """Evaluate one identity over its whole grid, collecting all failures; a
+    checker that raises adds one failure with its last params and the error."""
     start = time.perf_counter()
     checked = 0
     failures: list[dict] = []
-    for params, lhs, rhs in spec.checker(spec.grid):
-        checked += 1
-        if lhs != rhs:
-            failures.append({"params": params, "lhs": lhs, "rhs": rhs})
+    params: Mapping[str, Any] = {}
+    try:
+        for params, lhs, rhs in spec.checker(spec.grid):
+            checked += 1
+            if lhs != rhs:
+                failures.append({"params": params, "lhs": lhs, "rhs": rhs})
+    except Exception as exc:
+        failures.append({"params": params, "error": f"{type(exc).__name__}: {exc}"})
     elapsed = time.perf_counter() - start
     return IdentityReport(spec.id, _grid_text(spec.grid), checked, failures, elapsed)
 

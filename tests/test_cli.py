@@ -180,6 +180,28 @@ def test_verify_failure_exits_one(runner, monkeypatch):
     assert "FAIL T2-ii" in result.output
 
 
+def test_verify_raising_checker_fails_without_aborting(runner, monkeypatch):
+    from polycoeffs import cli as cli_module
+    from polycoeffs.identities import IdentitySpec
+
+    def explode(grid):
+        yield ({"n": 0}, 0, 0)
+        raise ValueError("forced")
+
+    raising = IdentitySpec("T2-ii", "raises on purpose", "-", {}, explode)
+    passing = IdentitySpec("T2-v", "holds", "-", {}, lambda grid: iter([({}, 1, 1)]))
+    monkeypatch.setattr(cli_module, "build_registry", lambda profile: [raising, passing])
+    monkeypatch.setattr(cli_module, "verification_suite", lambda: [])
+    result = invoke(runner, "verify", "all")
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.splitlines() == [
+        "FAIL T2-ii checked=1 failures=1",
+        "    at {'n': 0}: raised ValueError: forced",
+        "ok T2-v checked=1 failures=0",
+    ]
+
+
 def test_genfun_self_check_trip_exits_one(runner, monkeypatch):
     from polycoeffs import cli as cli_module
     from polycoeffs.errors import MismatchError

@@ -1,14 +1,15 @@
-"""Tests for the coefficient algorithms, their row memo, and cross-agreement."""
+"""Tests for the coefficient algorithms, their statelessness, and cross-agreement."""
+import gc
 import math
 import sys
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from polycoeffs.coefficients import (
-    _row_prefix,
     binom,
     chi,
     coeff,
@@ -221,8 +222,7 @@ def test_differential_against_independent_oracles(n, m, data):
 
 
 def test_cache_transparency():
-    # a short prefix, then a longer one, then single reads, from a cold memo
-    _row_prefix.cache_clear()
+    # a short prefix, then a longer one, then single reads
     for n in (-7, -4, -1, 0, 2, 5):
         for m in (2, 3):
             short = row(n, m, 5)
@@ -232,26 +232,13 @@ def test_cache_transparency():
             assert long == singles == pascal_row(n, m, 41)
 
 
-def test_cache_counts_hits_and_misses():
-    # reads within one rounded prefix length share a single memo entry
-    _row_prefix.cache_clear()
-    coeff(4, 2, 2)
-    before = _row_prefix.cache_info()
-    coeff(4, 3, 2)
-    after = _row_prefix.cache_info()
-    assert after.hits == before.hits + 1
-    assert after.misses == before.misses
-
-
 def test_cache_extends_negative_rows():
-    _row_prefix.cache_clear()
     assert coeff(-3, 4, 3) == 3
     # a longer request afterwards must extend, not corrupt
     assert row(-3, 3, 9) == ROWS_DEGREE_3[-3]
 
 
 def test_cache_is_thread_safe():
-    _row_prefix.cache_clear()
     expected = pascal_row(-6, 3, 41)
     results = []
 
@@ -271,6 +258,23 @@ def test_cache_is_thread_safe():
     assert not any(t.is_alive() for t in threads)
     assert len(results) == 8
     assert all(r == expected for r in results)
+
+
+def test_far_reads_retain_nothing():
+    # every row and coefficient is computed afresh, so nothing outlives a call
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for n in range(391, 401):
+            row(n, 4, 4 * n)
+            row(-n, 4, 1600)
+            coeff(-n, 1500, 3)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 1024
 
 
 @given(st.integers(1, 5), st.integers(0, 10))

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from polycoeffs.coefficients import chi, coeff
+from polycoeffs.coefficients import chi, coeff, row
 from polycoeffs.identities import (
     PROFILES,
     GaussianInt,
     IdentitySpec,
+    _at,
     build_registry,
     gaussian_pow,
     run_identity,
@@ -76,6 +77,39 @@ def test_failures_carry_params_and_sides():
     assert report.checked == 2
     rendered = report.to_dict()["failures"][0]
     assert rendered == {"params": {"n": 0}, "lhs": "0", "rhs": "1"}
+    assert report.rendered_failures(1) == [rendered]
+
+
+@pytest.mark.parametrize("points, params", [(3, {"n": 2}), (0, {})], ids=["late", "first"])
+def test_raising_checker_becomes_one_failure(points, params):
+    def checker(grid):
+        for n in range(points):
+            yield ({"n": n}, n, n)
+        raise ZeroDivisionError("forced")
+
+    report = run_identity(IdentitySpec("raises", "-", "-", {}, checker))
+    assert report.checked == points
+    assert report.to_dict()["failures"] == [
+        {"params": params, "error": "ZeroDivisionError: forced"}
+    ]
+
+
+def test_interrupt_in_checker_is_not_swallowed():
+    def checker(grid):
+        yield ({"n": 0}, 0, 0)
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        run_identity(IdentitySpec("interrupted", "-", "-", {}, checker))
+
+
+def test_at_reads_zero_before_the_row_and_raises_past_its_prefix():
+    values = row(-2, 3, 9)
+    assert [_at(values, k) for k in range(-3, 10)] == [0, 0, 0] + values
+    # the prefix of a negative row is not followed by zeros
+    assert coeff(-2, 10, 3) != 0
+    with pytest.raises(IndexError):
+        _at(values, 10)
 
 
 # spot values quoted throughout the registry descriptions
