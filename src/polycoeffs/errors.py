@@ -24,5 +24,13 @@ class DomainError(ValueError):
 class MismatchError(RuntimeError):
     """A built-in self-check disagreed with direct computation.
 
-    This signals an implementation bug, never bad user input.
+    This signals an implementation bug, never bad user input.  ``params``
+    names the point that disagreed, ``computed`` is the checked value and
+    ``expected`` the direct one; each is ``None`` when the check has none.
     """
+
+    def __init__(self, message: str, *, params=None, computed=None, expected=None):
+        super().__init__(message)
+        self.params = params
+        self.computed = computed
+        self.expected = expected

@@ -145,7 +145,10 @@ def column_gf(k: int, m: int, sign: str, order: int) -> ColumnGF:
         if series[n] != want:
             raise MismatchError(
                 f"column GF (k={k}, m={m}, sign={sign}) disagrees at x^{n}: "
-                f"series gives {series[n]}, direct computation gives {want}"
+                f"series gives {series[n]}, direct computation gives {want}",
+                params={"k": k, "m": m, "sign": sign, "n": n},
+                computed=series[n],
+                expected=want,
             )
     return ColumnGF(k, m, sign, series)
 
@@ -230,7 +233,10 @@ def carlitz_gf(a: int, b: int, m: int, order: int) -> TruncatedSeries:
         if series[j] != want:
             raise MismatchError(
                 f"diagonal GF (a={a}, b={b}, m={m}) disagrees at x^{j}: "
-                f"series gives {series[j]}, direct computation gives {want}"
+                f"series gives {series[j]}, direct computation gives {want}",
+                params={"a": a, "b": b, "m": m, "j": j},
+                computed=series[j],
+                expected=want,
             )
     return series
 

@@ -8,6 +8,12 @@ rather than aborting, so a report always describes the whole grid.
 Grid conventions: degree m starts at 1; row indices run over both signs
 where an identity permits them; column indices sweep the natural support
 plus a margin of out-of-support points so the zero clauses are exercised.
+
+T2-iv and ID6 form their left sides by Kronecker substitution: each row is
+packed into one integer with a slot of ``_width`` bytes per coefficient, and
+one big-integer product gives every convolution sum at once; the product is
+exact because the width keeps every slot's sum strictly inside its signed
+range, so no slot carries into the next.
 """
 from __future__ import annotations
 
@@ -116,6 +122,33 @@ def _at(values: list[int], k: int) -> int:
     return values[k] if k >= 0 else 0
 
 
+def _width(rows, terms: int) -> int:
+    # bytes per slot so that every entry, and every sum of `terms` products of
+    # entries, fits strictly inside a signed slot
+    top = max((abs(c) for values in rows for c in values), default=0)
+    return (top * top * max(terms, 1)).bit_length() // 8 + 1
+
+
+def _pack(values: list[int], width: int) -> int:
+    """sum_i values[i] * 2^(8*width*i), for signed values."""
+    positive = b"".join(max(c, 0).to_bytes(width, "little") for c in values)
+    negative = b"".join(max(-c, 0).to_bytes(width, "little") for c in values)
+    return int.from_bytes(positive, "little") - int.from_bytes(negative, "little")
+
+
+def _unpack(packed: int, width: int, count: int) -> list[int]:
+    """The first ``count`` signed slots of a packed integer."""
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    data = ((packed + bias) & ((1 << (8 * width * count)) - 1)).to_bytes(
+        width * count, "little"
+    )
+    half = 1 << (8 * width - 1)
+    return [
+        int.from_bytes(data[i : i + width], "little") - half
+        for i in range(0, width * count, width)
+    ]
+
+
 @dataclass(frozen=True)
 class GaussianInt:
     """A Gaussian integer, used for evaluating p_m at the imaginary unit."""
@@ -199,15 +232,24 @@ def _vandermonde_cap(r: int, s: int, m: int) -> int:
 def _check_vandermonde(grid) -> Iterator[CheckPoint]:
     pairs = [(r, s) for r in grid["r"] for s in grid["s"]]
     indices = {n for r, s in pairs for n in (r, s, r + s)}
+    factors = {*grid["r"], *grid["s"]}
     for m in grid["m"]:
         limit = max(_vandermonde_cap(r, s, m) for r, s in pairs)
         rows = {n: row(n, m, limit) for n in indices}
+        width = _width((rows[n] for n in factors), limit + 1)
+        packed = {n: _pack(rows[n], width) for n in factors}
         for r, s in pairs:
             kmax = _vandermonde_cap(r, s, m)
-            row_r, row_s, row_rs = rows[r], rows[s], rows[r + s]
-            for k in range(-1, kmax + 1):
-                lhs = sum(row_r[i] * row_s[k - i] for i in range(k + 1))
-                yield ({"m": m, "r": r, "s": s, "k": k}, lhs, _at(row_rs, k))
+            # a product's slots below kmax + 1 need only its factors' slots there
+            mask = (1 << (8 * width * (kmax + 1))) - 1
+            product = _unpack(
+                (packed[r] & mask) * (packed[s] & mask), width, kmax + 1
+            )
+            row_rs = rows[r + s]
+            # k = -1 lies before every row, so its sum is empty
+            yield ({"m": m, "r": r, "s": s, "k": -1}, 0, _at(row_rs, -1))
+            for k in range(kmax + 1):
+                yield ({"m": m, "r": r, "s": s, "k": k}, product[k], row_rs[k])
 
 
 def _check_addition(grid) -> Iterator[CheckPoint]:
@@ -355,24 +397,27 @@ def _check_shifted_products(grid) -> Iterator[CheckPoint]:
             row(n, m, m * n + SUPPORT_MARGIN + max(grid["q"]))
             for n in range(max(grid["r"]) + max(grid["s"]) + 1)
         ]
+        supports = {n: rows[n][: m * n + 1] for n in {*grid["r"], *grid["s"]}}
+        width = _width(supports.values(), m * max(supports) + 1)
+        reversed_r = {r: _pack(supports[r][::-1], width) for r in grid["r"]}
+        packed_s = {s: _pack(supports[s], width) for s in grid["s"]}
         for r in grid["r"]:
             for s in grid["s"]:
-                row_r, row_s, row_rs = rows[r], rows[s], rows[r + s]
+                # sum_l <r,q+l><s,k+l> is entry m*r - q + k of rev(row r) * row s
+                span = m * (r + s)
+                product = _unpack(reversed_r[r] * packed_s[s], width, span + 1)
+                row_rs = rows[r + s]
                 for q in grid["q"]:
                     for k in range(-(m * r + SUPPORT_MARGIN), m * s + SUPPORT_MARGIN + 1):
-                        lo = max(-q, -k)
-                        hi = min(m * r - q, m * s - k)
-                        lhs = sum(
-                            row_r[q + l] * row_s[k + l] for l in range(lo, hi + 1)
-                        )
-                        params = {"m": m, "r": r, "s": s, "q": q, "k": k}
+                        t = m * r - q + k
+                        lhs = product[t] if 0 <= t <= span else 0
                         yield (
-                            {**params, "side": "first"},
+                            {"m": m, "r": r, "s": s, "q": q, "k": k, "side": "first"},
                             lhs,
-                            _at(row_rs, m * r - q + k),
+                            _at(row_rs, t),
                         )
                         yield (
-                            {**params, "side": "second"},
+                            {"m": m, "r": r, "s": s, "q": q, "k": k, "side": "second"},
                             lhs,
                             _at(row_rs, m * s + q - k),
                         )

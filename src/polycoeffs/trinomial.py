@@ -299,13 +299,18 @@ NUMERIC_CHECK_IDS = (
 
 
 def _report(identity_id, grid_text, points) -> IdentityReport:
+    # a raising check adds one failure with its last params, as in run_identity
     start = time.perf_counter()
     checked = 0
     failures = []
-    for params, ok, lhs, rhs in points:
-        checked += 1
-        if not ok:
-            failures.append({"params": params, "lhs": lhs, "rhs": rhs})
+    params = {}
+    try:
+        for params, ok, lhs, rhs in points:
+            checked += 1
+            if not ok:
+                failures.append({"params": params, "lhs": lhs, "rhs": rhs})
+    except Exception as exc:
+        failures.append({"params": params, "error": f"{type(exc).__name__}: {exc}"})
     return IdentityReport(
         identity_id, grid_text, checked, failures, time.perf_counter() - start
     )

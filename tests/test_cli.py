@@ -202,6 +202,30 @@ def test_verify_raising_checker_fails_without_aborting(runner, monkeypatch):
     ]
 
 
+def test_verify_raising_numeric_check_fails_without_aborting(runner, monkeypatch):
+    from polycoeffs import trinomial
+
+    exact_points = trinomial._rainville_points
+
+    def raising_points(formula):
+        if formula is not trinomial.rainville_32:
+            yield from exact_points(formula)
+            return
+        yield ({"p": 1, "n": 0}, True, 1, 1)
+        raise ValueError("forced")
+
+    monkeypatch.setattr(trinomial, "_rainville_points", raising_points)
+    result = invoke(runner, "verify", "all", "--profile", "quick")
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    lines = result.output.splitlines()
+    reports = [line for line in lines if not line.startswith(" ")]
+    assert len(reports) == 26
+    failing = lines.index("FAIL ID12 checked=1 failures=1")
+    assert lines[failing + 1] == "    at {'p': 1, 'n': 0}: raised ValueError: forced"
+    assert [line for line in reports if not line.startswith("ok ")] == [lines[failing]]
+
+
 def test_genfun_self_check_trip_exits_one(runner, monkeypatch):
     from polycoeffs import cli as cli_module
     from polycoeffs.errors import MismatchError

@@ -180,3 +180,49 @@ def test_column_mismatch_is_distinguishable():
     # MismatchError exists for self-check failures and is not a ValueError
     assert issubclass(MismatchError, RuntimeError)
     assert not issubclass(MismatchError, ValueError)
+
+
+@pytest.mark.parametrize(
+    "build, message, params, computed",
+    [
+        (
+            lambda: column_gf(2, 2, "+", 5),
+            "column GF (k=2, m=2, sign=+) disagrees at x^3: "
+            "series gives 6, direct computation gives 7",
+            {"k": 2, "m": 2, "sign": "+", "n": 3},
+            6,
+        ),
+        (
+            lambda: carlitz_gf(0, 1, 2, 5),
+            "diagonal GF (a=0, b=1, m=2) disagrees at x^3: "
+            "series gives 7, direct computation gives 8",
+            {"a": 0, "b": 1, "m": 2, "j": 3},
+            7,
+        ),
+    ],
+    ids=["column", "diagonal"],
+)
+def test_forced_mismatch_carries_params_and_both_values(
+    monkeypatch, build, message, params, computed
+):
+    from polycoeffs import genfun
+
+    exact = genfun.coeff
+
+    def skewed_coeff(n, k, m):
+        # one off by one in the column k = 2 and one on the diagonal <j, j>
+        return exact(n, k, m) + ((n, k, m) in ((3, 2, 2), (3, 3, 2)))
+
+    monkeypatch.setattr(genfun, "coeff", skewed_coeff)
+    with pytest.raises(MismatchError) as caught:
+        build()
+    assert str(caught.value) == message
+    assert caught.value.params == params
+    assert caught.value.computed == computed
+    assert caught.value.expected == computed + 1
+
+
+def test_mismatch_context_defaults_to_none():
+    error = MismatchError("plain")
+    assert str(error) == "plain"
+    assert (error.params, error.computed, error.expected) == (None, None, None)

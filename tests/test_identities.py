@@ -4,13 +4,19 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from polycoeffs import identities
 from polycoeffs.coefficients import chi, coeff, row
 from polycoeffs.identities import (
     PROFILES,
     GaussianInt,
     IdentitySpec,
     _at,
+    _pack,
+    _unpack,
+    _width,
     build_registry,
     gaussian_pow,
     run_identity,
@@ -110,6 +116,69 @@ def test_at_reads_zero_before_the_row_and_raises_past_its_prefix():
     assert coeff(-2, 10, 3) != 0
     with pytest.raises(IndexError):
         _at(values, 10)
+
+
+# Kronecker substitution: packed products against the schoolbook sum
+
+
+def _schoolbook(a, b):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+_slots = st.one_of(
+    st.lists(st.integers(-(2**200), 2**200), max_size=12),
+    st.lists(st.integers(-3, 3), max_size=12),
+    st.lists(st.just(0), max_size=12),
+)
+
+
+@given(_slots, _slots, st.integers(0, 30))
+def test_packed_product_matches_schoolbook(a, b, count):
+    width = _width([a, b], min(len(a), len(b)))
+    full = _schoolbook(a, b)
+    padded = full + [0] * count
+    assert _unpack(_pack(a, width) * _pack(b, width), width, len(full)) == full
+    assert _unpack(_pack(a, width) * _pack(b, width), width, count) == padded[:count]
+    # the low slots of a product need only the low slots of its factors
+    mask = (1 << (8 * width * count)) - 1
+    masked = (_pack(a, width) & mask) * (_pack(b, width) & mask)
+    assert _unpack(masked, width, count) == padded[:count]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_packed_product_at_the_width_boundary(sign):
+    # top^2 * terms = 127 = 2^7 - 1 fits one signed byte exactly; 128 does not
+    ones = [1] * 127
+    assert _width([ones], 127) == 1 and _width([ones], 128) == 2
+    product = _unpack(_pack(ones, 1) * _pack([sign] * 127, 1), 1, 253)
+    assert product == [sign * c for c in _schoolbook(ones, ones)]
+    assert product[126] == sign * 127
+
+
+def test_kronecker_checkers_catch_one_wrong_coefficient(monkeypatch):
+    exact_row = identities.row
+
+    def skewed_row(n, m, limit):
+        values = exact_row(n, m, limit)
+        if (n, m) == (3, 2):
+            values[4] += 1
+        return values
+
+    monkeypatch.setattr(identities, "row", skewed_row)
+    specs = {s.id: s for s in build_registry("quick")}
+    # each point reads <3,4>_2 on its right-hand side only, from row r + s = 3
+    expected = {
+        "T2-iv": {"m": 2, "r": 1, "s": 2, "k": 4},
+        "ID6": {"m": 2, "r": 1, "s": 2, "q": 0, "k": 2, "side": "first"},
+    }
+    for identity_id, params in expected.items():
+        report = run_identity(specs[identity_id])
+        assert params in [f["params"] for f in report.failures], identity_id
+        assert all(f["params"]["m"] == 2 for f in report.failures)
 
 
 # spot values quoted throughout the registry descriptions
