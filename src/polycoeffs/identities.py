@@ -2,8 +2,15 @@
 
 Each entry pairs a parameter grid with a checker that evaluates both sides
 of one identity in exact arithmetic (integers, rationals, Gaussian
-integers).  Checkers yield every grid point; failures are collected as data
-rather than aborting, so a report always describes the whole grid.
+integers).  Failures are collected as data rather than aborting, so a report
+always describes the whole grid.
+
+Checkers that sweep an index yield a ``Block`` per row or convolution: the
+fixed parameters, the swept ones as sequences, and both sides as two
+equal-length lists.  ``run_identity`` compares the two lists at once and
+decodes points only on a mismatch, so the deep profile's 771,690 points do
+not each cost a params dict, a tuple and a comparison.  Identities with one
+value per parameter set yield plain ``(params, lhs, rhs)`` points.
 
 Grid conventions: degree m starts at 1; row indices run over both signs
 where an identity permits them; column indices sweep the natural support
@@ -24,10 +31,43 @@ from fractions import Fraction
 from typing import Any, Callable, Iterator, Mapping
 
 from .coefficients import binom, chi, coeff, multinomial_oracle, row
-from .genfun import _coeff_allowing_degenerate, _pk_list
+from .genfun import pk_by_recurrence
 
 CheckPoint = tuple[dict, Any, Any]
-Checker = Callable[[Mapping[str, Any]], Iterator[CheckPoint]]
+
+
+class Block:
+    """Grid points sharing ``params``: each key in ``swept`` maps to a
+    sequence of values, the last key varying fastest, and ``lhs[i]``,
+    ``rhs[i]`` are the two sides at point ``i`` of that sweep."""
+
+    __slots__ = ("params", "swept", "lhs", "rhs")
+
+    def __init__(
+        self, params: Mapping[str, Any], swept: tuple[str, ...], lhs: list, rhs: list
+    ):
+        size = math.prod(len(params[key]) for key in swept)
+        if not len(lhs) == len(rhs) == size:
+            raise ValueError(
+                f"block of {size} points has {len(lhs)} left and {len(rhs)} right sides"
+            )
+        self.params, self.swept, self.lhs, self.rhs = params, swept, lhs, rhs
+
+    def point(self, index: int) -> dict:
+        """The params of point ``index``, keys in ``params`` order."""
+        values = {}
+        for key in reversed(self.swept):
+            index, digit = divmod(index, len(self.params[key]))
+            values[key] = self.params[key][digit]
+        return {key: values.get(key, value) for key, value in self.params.items()}
+
+    def mismatches(self) -> Iterator[dict]:
+        for index, (lhs, rhs) in enumerate(zip(self.lhs, self.rhs)):
+            if lhs != rhs:
+                yield {"params": self.point(index), "lhs": lhs, "rhs": rhs}
+
+
+Checker = Callable[[Mapping[str, Any]], Iterator[Block | CheckPoint]]
 
 
 @dataclass(frozen=True)
@@ -188,39 +228,49 @@ def gaussian_pow(m: int, n: int) -> GaussianInt:
 
 
 # ---------------------------------------------------------------------------
-# checkers: each yields (params, lhs, rhs) for every grid point
+# checkers: a Block per swept row, or (params, lhs, rhs) per grid point
 
 
-def _check_factorial_expansion(grid) -> Iterator[CheckPoint]:
+def _k_block(m: int, n: int, ks, lhs: list, rhs: list) -> Block:
+    return Block({"m": m, "n": n, "k": ks}, ("k",), lhs, rhs)
+
+
+_SIDES = ("first", "second")
+
+
+def _interleave(first: list, second: list) -> list:
+    out = [None] * (2 * len(first))
+    out[0::2] = first
+    out[1::2] = second
+    return out
+
+
+def _check_factorial_expansion(grid) -> Iterator[Block]:
     for m in grid["m"]:
         for n in grid["n"]:
+            ks = _k_values(n, m)
             values = row(n, m, _k_last(n, m))
-            for k in _k_values(n, m):
-                yield (
-                    {"m": m, "n": n, "k": k},
-                    multinomial_oracle(n, k, m) if k >= 0 else 0,
-                    _at(values, k),
-                )
+            lhs = [multinomial_oracle(n, k, m) if k >= 0 else 0 for k in ks]
+            yield _k_block(m, n, ks, lhs, [_at(values, k) for k in ks])
 
 
-def _check_symmetry(grid) -> Iterator[CheckPoint]:
+def _check_symmetry(grid) -> Iterator[Block]:
     for m in grid["m"]:
         for n in grid["n"]:
+            ks = _k_values(n, m)
             values = row(n, m, _k_last(n, m))
-            for k in _k_values(n, m):
-                yield ({"m": m, "n": n, "k": k}, _at(values, k), _at(values, m * n - k))
+            lhs = [_at(values, k) for k in ks]
+            yield _k_block(m, n, ks, lhs, [_at(values, m * n - k) for k in ks])
 
 
-def _check_absorption(grid) -> Iterator[CheckPoint]:
+def _check_absorption(grid) -> Iterator[Block]:
     for m in grid["m"]:
         for n in grid["n"]:
+            ks = [k for k in _k_values(n, m) if k != 0]
             values, prior = row(n, m, _k_last(n, m)), row(n - 1, m, _k_last(n, m))
-            for k in _k_values(n, m):
-                if k == 0:
-                    continue
-                lhs = k * _at(values, k)
-                rhs = n * sum(i * _at(prior, k - i) for i in range(1, m + 1))
-                yield ({"m": m, "n": n, "k": k}, lhs, rhs)
+            lhs = [k * _at(values, k) for k in ks]
+            rhs = [n * sum(i * _at(prior, k - i) for i in range(1, m + 1)) for k in ks]
+            yield _k_block(m, n, ks, lhs, rhs)
 
 
 def _vandermonde_cap(r: int, s: int, m: int) -> int:
@@ -229,7 +279,7 @@ def _vandermonde_cap(r: int, s: int, m: int) -> int:
     return m * max(abs(r), abs(s), abs(r + s)) + SUPPORT_MARGIN
 
 
-def _check_vandermonde(grid) -> Iterator[CheckPoint]:
+def _check_vandermonde(grid) -> Iterator[Block]:
     pairs = [(r, s) for r in grid["r"] for s in grid["s"]]
     indices = {n for r, s in pairs for n in (r, s, r + s)}
     factors = {*grid["r"], *grid["s"]}
@@ -238,27 +288,36 @@ def _check_vandermonde(grid) -> Iterator[CheckPoint]:
         rows = {n: row(n, m, limit) for n in indices}
         width = _width((rows[n] for n in factors), limit + 1)
         packed = {n: _pack(rows[n], width) for n in factors}
+        # (s, r) reads the product of (r, s): the cap is symmetric in r and s
+        products: dict = {}
         for r, s in pairs:
             kmax = _vandermonde_cap(r, s, m)
-            # a product's slots below kmax + 1 need only its factors' slots there
-            mask = (1 << (8 * width * (kmax + 1))) - 1
-            product = _unpack(
-                (packed[r] & mask) * (packed[s] & mask), width, kmax + 1
-            )
+            product = products.pop((s, r), None)
+            if product is None:
+                # a product's slots below kmax + 1 need only its factors' slots there
+                mask = (1 << (8 * width * (kmax + 1))) - 1
+                product = _unpack(
+                    (packed[r] & mask) * (packed[s] & mask), width, kmax + 1
+                )
+                if r != s:
+                    products[r, s] = product
             row_rs = rows[r + s]
             # k = -1 lies before every row, so its sum is empty
-            yield ({"m": m, "r": r, "s": s, "k": -1}, 0, _at(row_rs, -1))
-            for k in range(kmax + 1):
-                yield ({"m": m, "r": r, "s": s, "k": k}, product[k], row_rs[k])
+            yield Block(
+                {"m": m, "r": r, "s": s, "k": range(-1, kmax + 1)},
+                ("k",),
+                [0, *product],
+                [_at(row_rs, -1), *row_rs[: kmax + 1]],
+            )
 
 
-def _check_addition(grid) -> Iterator[CheckPoint]:
+def _check_addition(grid) -> Iterator[Block]:
     for m in grid["m"]:
         for n in grid["n"]:
+            ks = _k_values(n, m)
             values, prior = row(n, m, _k_last(n, m)), row(n - 1, m, _k_last(n, m))
-            for k in _k_values(n, m):
-                rhs = sum(_at(prior, k - i) for i in range(m + 1))
-                yield ({"m": m, "n": n, "k": k}, _at(values, k), rhs)
+            rhs = [sum(_at(prior, k - i) for i in range(m + 1)) for k in ks]
+            yield _k_block(m, n, ks, [_at(values, k) for k in ks], rhs)
 
 
 def _bivariate_power(base: dict, exponent: int) -> dict:
@@ -291,57 +350,66 @@ def _check_binomial_theorem(grid) -> Iterator[CheckPoint]:
             )
 
 
-def _check_upper_summation(grid) -> Iterator[CheckPoint]:
+def _check_upper_summation(grid) -> Iterator[Block]:
     for m in grid["m"]:
         for n in grid["n"]:
-            kmax = m * n + SUPPORT_MARGIN
-            rows = [row(l, m, kmax) for l in range(n + 1)]
-            upper = row(n + 1, m, kmax + 1)
-            for k in range(0, kmax + 1):
-                lhs = sum(values[k] for values in rows)
-                rhs = sum(chi(m - 1, i) * upper[k - i + 1] for i in range(k + 1))
-                yield ({"m": m, "n": n, "k": k}, lhs, rhs)
+            ks = range(m * n + SUPPORT_MARGIN + 1)
+            rows = [row(l, m, ks[-1]) for l in range(n + 1)]
+            upper = row(n + 1, m, ks[-1] + 1)
+            weights = [chi(m - 1, i) for i in ks]
+            lhs = [sum(column) for column in zip(*rows)]
+            rhs = [sum(weights[i] * upper[k - i + 1] for i in range(k + 1)) for k in ks]
+            yield _k_block(m, n, ks, lhs, rhs)
 
 
-def _check_parallel_summation(grid) -> Iterator[CheckPoint]:
+def _check_parallel_summation(grid) -> Iterator[Block]:
+    ns, r_top = grid["n"], max(grid["r"])
     for m in grid["m"]:
+        # rows r + k hold the diagonal <r+k, mk>, rows r + n + 1 the right sides
+        rows = [row(j, m, m * j) for j in range(r_top + max(ns) + 2)]
+        weights = [chi(m - 1, i) for i in range(m * r_top + 1)]
         for r in grid["r"]:
-            diagonal = [coeff(r + k, m * k, m) for k in range(max(grid["n"]) + 1)]
-            for n in grid["n"]:
-                lhs = sum(diagonal[: n + 1])
-                values = row(r + n + 1, m, m * r + 1)
-                rhs = sum(
-                    chi(m - 1, i) * values[m * r - i + 1] for i in range(m * r + 1)
+            diagonal = [rows[r + k][m * k] for k in range(max(ns) + 1)]
+            lhs = [sum(diagonal[: n + 1]) for n in ns]
+            rhs = [
+                sum(
+                    weights[i] * rows[r + n + 1][m * r - i + 1]
+                    for i in range(m * r + 1)
                 )
-                yield ({"m": m, "r": r, "n": n}, lhs, rhs)
+                for n in ns
+            ]
+            yield Block({"m": m, "r": r, "n": ns}, ("n",), lhs, rhs)
 
 
-def _check_horizontal(grid) -> Iterator[CheckPoint]:
+def _check_horizontal(grid) -> Iterator[Block]:
     for m in grid["m"]:
         for n in grid["n"]:
+            ks = _k_values(n, m)
             values = row(n, m, _k_last(n, m))
-            for k in _k_values(n, m):
-                lhs = k * _at(values, k)
-                rhs = sum(
-                    ((n + 1) * i - k) * _at(values, k - i) for i in range(1, m + 1)
-                )
-                yield ({"m": m, "n": n, "k": k}, lhs, rhs)
+            rhs = [
+                sum(((n + 1) * i - k) * _at(values, k - i) for i in range(1, m + 1))
+                for k in ks
+            ]
+            yield _k_block(m, n, ks, [k * _at(values, k) for k in ks], rhs)
 
 
-def _check_chi_convolution(grid) -> Iterator[CheckPoint]:
+def _check_chi_convolution(grid) -> Iterator[Block]:
     for m in grid["m"]:
         for n in grid["n"]:
+            ks = _k_values(n, m)
             values, prior = row(n, m, _k_last(n, m)), row(n - 1, m, _k_last(n, m))
-            for k in _k_values(n, m):
-                lhs = sum(chi(m, j) * _at(values, k - j) for j in range(max(k, 0) + 1))
-                yield ({"m": m, "n": n, "k": k}, lhs, _at(prior, k))
+            weights = [chi(m, j) for j in range(_k_last(n, m) + 1)]
+            lhs = [
+                sum(weights[j] * _at(values, k - j) for j in range(max(k, 0) + 1))
+                for k in ks
+            ]
+            yield _k_block(m, n, ks, lhs, [_at(prior, k) for k in ks])
 
 
 def _check_f_numbers_column(grid) -> Iterator[CheckPoint]:
     half = Fraction(1, 2)
     for m in grid["m"]:
         n_top = max(grid["n"])
-        ps = _pk_list(m, n_top)
         f_rec = []
         for n in range(n_top + 1):
             if n <= 1:
@@ -350,7 +418,7 @@ def _check_f_numbers_column(grid) -> Iterator[CheckPoint]:
                 lag = f_rec[n - m - 1] if n - m - 1 >= 0 else 0
                 f_rec.append(2 * f_rec[n - 1] - lag)
         for n in grid["n"]:
-            lhs = 2 ** (n + 1) * ps[n](half)
+            lhs = 2 ** (n + 1) * pk_by_recurrence(m, n)(half)
             yield ({"m": m, "n": n}, lhs, 2 * f_rec[n])
 
 
@@ -390,12 +458,14 @@ def _check_parity_sums(grid) -> Iterator[CheckPoint]:
             yield ({"m": m, "n": n, "part": "odd"}, odd, g.im)
 
 
-def _check_shifted_products(grid) -> Iterator[CheckPoint]:
+def _check_shifted_products(grid) -> Iterator[Block]:
+    # entries t < 0 of the product and of row r + s read as 0 from this padding
+    pad = SUPPORT_MARGIN + max(grid["q"])
+    zeros = [0] * pad
     for m in grid["m"]:
         # the right-hand sides read row r + s out to m(r + s) + SUPPORT_MARGIN + q
         rows = [
-            row(n, m, m * n + SUPPORT_MARGIN + max(grid["q"]))
-            for n in range(max(grid["r"]) + max(grid["s"]) + 1)
+            row(n, m, m * n + pad) for n in range(max(grid["r"]) + max(grid["s"]) + 1)
         ]
         supports = {n: rows[n][: m * n + 1] for n in {*grid["r"], *grid["s"]}}
         width = _width(supports.values(), m * max(supports) + 1)
@@ -403,24 +473,26 @@ def _check_shifted_products(grid) -> Iterator[CheckPoint]:
         packed_s = {s: _pack(supports[s], width) for s in grid["s"]}
         for r in grid["r"]:
             for s in grid["s"]:
-                # sum_l <r,q+l><s,k+l> is entry m*r - q + k of rev(row r) * row s
+                # sum_l <r,q+l><s,k+l> is entry t = m*r - q + k of rev(row r) *
+                # row s, 0 outside 0..span; the second side reads entry span - t
                 span = m * (r + s)
-                product = _unpack(reversed_r[r] * packed_s[s], width, span + 1)
-                row_rs = rows[r + s]
+                product = zeros + _unpack(reversed_r[r] * packed_s[s], width, span + 1)
+                product += zeros
+                row_rs = zeros + rows[r + s]
+                # entry t sits at pad + t, entry span - t at mirror - (pad + t)
+                mirror = 2 * pad + span
+                ks = range(-(m * r + SUPPORT_MARGIN), m * s + SUPPORT_MARGIN + 1)
                 for q in grid["q"]:
-                    for k in range(-(m * r + SUPPORT_MARGIN), m * s + SUPPORT_MARGIN + 1):
-                        t = m * r - q + k
-                        lhs = product[t] if 0 <= t <= span else 0
-                        yield (
-                            {"m": m, "r": r, "s": s, "q": q, "k": k, "side": "first"},
-                            lhs,
-                            _at(row_rs, t),
-                        )
-                        yield (
-                            {"m": m, "r": r, "s": s, "q": q, "k": k, "side": "second"},
-                            lhs,
-                            _at(row_rs, m * s + q - k),
-                        )
+                    low = pad - q - SUPPORT_MARGIN
+                    high = pad + span - q + SUPPORT_MARGIN + 1
+                    lhs = product[low:high]
+                    second = row_rs[mirror - high + 1 : mirror - low + 1][::-1]
+                    yield Block(
+                        {"m": m, "r": r, "s": s, "q": q, "k": ks, "side": _SIDES},
+                        ("k", "side"),
+                        _interleave(lhs, lhs),
+                        _interleave(row_rs[low:high], second),
+                    )
 
 
 def _check_square_sums(grid) -> Iterator[CheckPoint]:
@@ -451,10 +523,15 @@ def _check_alternating_squares(grid) -> Iterator[CheckPoint]:
                 rhs = coeff(n, m * n // 2, m)
             else:
                 half_degree = (m - 1) // 2
+                # degree 0 means the base polynomial is the constant 1
                 rhs = sum(
                     (-1 if i & 1 else 1)
                     * binom(n, i)
-                    * _coeff_allowing_degenerate(2 * n, m * n // 2 - i, half_degree)
+                    * (
+                        coeff(2 * n, m * n // 2 - i, half_degree)
+                        if half_degree
+                        else int(m * n // 2 == i)
+                    )
                     for i in range(n + 1)
                 )
             yield ({"m": m, "n": n}, lhs, rhs)
@@ -468,32 +545,39 @@ def _check_quadrinomial_squares(grid) -> Iterator[CheckPoint]:
         yield ({"r": r}, lhs, rhs)
 
 
-def _check_binomial_weightings(grid) -> Iterator[CheckPoint]:
+def _check_binomial_weightings(grid) -> Iterator[Block]:
     for m in grid["m"]:
         for n in grid["n"]:
-            kmax = m * n + SUPPORT_MARGIN
-            rows = [row(l, m, kmax) for l in range(n + 1)]
+            ks = range(m * n + SUPPORT_MARGIN + 1)
+            rows = [row(l, m, ks[-1]) for l in range(n + 1)]
             # degree 0 means the base polynomial is the constant 1
             lower = [
-                row(j, m - 1, kmax) if m > 1 else [1] + [0] * kmax
+                row(j, m - 1, ks[-1]) if m > 1 else [1] + [0] * ks[-1]
                 for j in range(n + 1)
             ]
             values = rows[n]
-            for k in range(0, kmax + 1):
-                lhs1 = sum(binom(n, l) * rows[l][k] for l in range(n + 1))
-                rhs1 = sum(
-                    (2 ** (n - j)) * binom(n, j) * _at(lower[j], k - j)
-                    for j in range(n + 1)
-                )
-                yield ({"m": m, "n": n, "k": k, "side": "first"}, lhs1, rhs1)
-                lhs2 = sum(values[l] * binom(l, k) for l in range(k, m * n + 1))
-                rhs2 = sum(
-                    (-1 if (n - j) & 1 else 1)
-                    * binom(n, j)
-                    * binom((m + 1) * j, k + n)
-                    for j in range(n + 1)
-                )
-                yield ({"m": m, "n": n, "k": k, "side": "second"}, lhs2, rhs2)
+            weights = [binom(n, j) for j in range(n + 1)]
+            doubled = [2 ** (n - j) * weights[j] for j in range(n + 1)]
+            signed = [(-1 if (n - j) & 1 else 1) * weights[j] for j in range(n + 1)]
+            lhs1 = [
+                sum(w * c for w, c in zip(weights, column)) for column in zip(*rows)
+            ]
+            rhs1 = [
+                sum(doubled[j] * _at(lower[j], k - j) for j in range(n + 1)) for k in ks
+            ]
+            lhs2 = [
+                sum(values[l] * binom(l, k) for l in range(k, m * n + 1)) for k in ks
+            ]
+            rhs2 = [
+                sum(signed[j] * binom((m + 1) * j, k + n) for j in range(n + 1))
+                for k in ks
+            ]
+            yield Block(
+                {"m": m, "n": n, "k": ks, "side": _SIDES},
+                ("k", "side"),
+                _interleave(lhs1, lhs2),
+                _interleave(rhs1, rhs2),
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -647,17 +731,30 @@ def build_registry(profile: Profile | str = "desk") -> list[IdentitySpec]:
 
 def run_identity(spec: IdentitySpec) -> IdentityReport:
     """Evaluate one identity over its whole grid, collecting all failures; a
-    checker that raises adds one failure with its last params and the error."""
+    checker that raises adds one failure with the params of the last point
+    it yielded and the error."""
     start = time.perf_counter()
     checked = 0
     failures: list[dict] = []
+    last: Block | None = None
     params: Mapping[str, Any] = {}
     try:
-        for params, lhs, rhs in spec.checker(spec.grid):
-            checked += 1
-            if lhs != rhs:
-                failures.append({"params": params, "lhs": lhs, "rhs": rhs})
+        for item in spec.checker(spec.grid):
+            if isinstance(item, Block):
+                checked += len(item.lhs)
+                if item.lhs:
+                    last = item
+                if item.lhs != item.rhs:
+                    failures.extend(item.mismatches())
+            else:
+                params, lhs, rhs = item
+                last = None
+                checked += 1
+                if lhs != rhs:
+                    failures.append({"params": params, "lhs": lhs, "rhs": rhs})
     except Exception as exc:
+        if last is not None:
+            params = last.point(len(last.lhs) - 1)
         failures.append({"params": params, "error": f"{type(exc).__name__}: {exc}"})
     elapsed = time.perf_counter() - start
     return IdentityReport(spec.id, _grid_text(spec.grid), checked, failures, elapsed)

@@ -2,6 +2,7 @@
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -11,6 +12,7 @@ from polycoeffs import identities
 from polycoeffs.coefficients import chi, coeff, row
 from polycoeffs.identities import (
     PROFILES,
+    Block,
     GaussianInt,
     IdentitySpec,
     _at,
@@ -38,6 +40,39 @@ def test_quick_suite_is_green():
     for report in run_suite("quick"):
         assert report.passed, (report.id, report.failures[:3])
         assert report.checked > 0
+
+
+# points per identity, pinned from the point-at-a-time checkers: a checker
+# that yields blocks must still visit every point of its grid exactly once
+CHECKED = {
+    "quick": {
+        "T2-i": 180, "T2-ii": 180, "T2-iii": 309, "T2-iv": 3501, "T2-v": 336,
+        "T2-vi": 15, "T2-vii": 150, "T2-viii": 75, "T2-ix": 336, "ID1": 336,
+        "ID2": 15, "ID3": 15, "ID4": 12, "ID5": 24, "ID6": 8550, "ID7": 45,
+        "ID8": 15, "ID9": 5, "ID10": 300,
+    },
+    "desk": {
+        "T2-i": 595, "T2-ii": 1265, "T2-iii": 2385, "T2-iv": 73185, "T2-v": 2490,
+        "T2-vi": 55, "T2-vii": 1155, "T2-viii": 605, "T2-ix": 2490, "ID1": 2490,
+        "ID2": 55, "ID3": 55, "ID4": 50, "ID5": 100, "ID6": 148830, "ID7": 165,
+        "ID8": 55, "ID9": 11, "ID10": 2310,
+    },
+    "deep": {
+        "T2-i": 777, "T2-ii": 2925, "T2-iii": 5628, "T2-iv": 248472, "T2-v": 5802,
+        "T2-vi": 90, "T2-vii": 2745, "T2-viii": 1350, "T2-ix": 5802, "ID1": 5802,
+        "ID2": 90, "ID3": 90, "ID4": 84, "ID5": 168, "ID6": 486000, "ID7": 270,
+        "ID8": 90, "ID9": 15, "ID10": 5490,
+    },
+}
+
+
+@pytest.mark.parametrize("profile", sorted(CHECKED))
+def test_checked_counts_are_pinned(profile):
+    reports = run_suite(profile)
+    assert {r.id: r.checked for r in reports} == CHECKED[profile]
+    assert all(r.passed for r in reports)
+    if profile == "deep":
+        assert sum(r.checked for r in reports) == 771_690
 
 
 def test_suite_accepts_profile_objects():
@@ -179,6 +214,95 @@ def test_kronecker_checkers_catch_one_wrong_coefficient(monkeypatch):
         report = run_identity(specs[identity_id])
         assert params in [f["params"] for f in report.failures], identity_id
         assert all(f["params"]["m"] == 2 for f in report.failures)
+
+
+PINNED_FAILURES = Path(__file__).parent / "data" / "quick_one_wrong_coefficient.json"
+
+
+def test_one_wrong_coefficient_reproduces_the_pinned_reports(monkeypatch):
+    # <3,4>_2 off by one wherever a checker reads it, through row or coeff
+    # (T2-viii reads its diagonal from rows); the pinned reports come from
+    # the point-at-a-time checkers
+    exact_row, exact_coeff = identities.row, identities.coeff
+
+    def skewed_row(n, m, limit):
+        values = exact_row(n, m, limit)
+        if (n, m) == (3, 2) and len(values) > 4:
+            values[4] += 1
+        return values
+
+    def skewed_coeff(n, k, m):
+        return exact_coeff(n, k, m) + ((n, k, m) == (3, 4, 2))
+
+    monkeypatch.setattr(identities, "row", skewed_row)
+    monkeypatch.setattr(identities, "coeff", skewed_coeff)
+    pinned = json.loads(PINNED_FAILURES.read_text())
+    reports = [run_identity(spec).to_dict() for spec in build_registry("quick")]
+    assert [r["id"] for r in reports] == [r["id"] for r in pinned]
+    for report, expected in zip(reports, pinned):
+        # json.dumps keeps key order, so the params keys must come in pinned order
+        assert json.dumps(report) == json.dumps(expected), report["id"]
+
+
+# blocks: many grid points with their two sides as two lists
+
+
+def _block_report(*items):
+    def checker(grid):
+        yield from items
+
+    return run_identity(IdentitySpec("block", "-", "-", {}, checker))
+
+
+def test_block_decodes_two_swept_keys_last_fastest():
+    sides = ("first", "second")
+    block = Block(
+        {"m": 2, "k": range(-1, 2), "q": 0, "side": sides},
+        ("k", "side"),
+        [0] * 6,
+        [0] * 6,
+    )
+    points = [block.point(i) for i in range(6)]
+    expected = [{"m": 2, "k": k, "q": 0, "side": s} for k in (-1, 0, 1) for s in sides]
+    assert points == expected
+    assert all(list(p) == ["m", "k", "q", "side"] for p in points)
+
+
+def test_block_with_a_list_of_swept_values():
+    # T2-iii sweeps k without 0
+    ks = [-2, -1, 1, 2]
+    report = _block_report(Block({"n": 3, "k": ks}, ("k",), [5, 6, 7, 8], [5, 6, 0, 8]))
+    assert report.checked == 4
+    assert report.failures == [{"params": {"n": 3, "k": 1}, "lhs": 7, "rhs": 0}]
+
+
+def test_block_mismatch_in_its_last_element_is_reported():
+    block = Block({"n": 0, "k": range(5)}, ("k",), [1, 2, 3, 4, 5], [1, 2, 3, 4, 6])
+    before = Block({"n": 1, "k": range(2)}, ("k",), [0, 0], [0, 0])
+    report = _block_report(before, block)
+    assert report.checked == 7
+    assert report.failures == [{"params": {"n": 0, "k": 4}, "lhs": 5, "rhs": 6}]
+
+
+def test_checker_raising_after_a_block_records_its_last_point():
+    def checker(grid):
+        yield ({"n": 6}, 0, 0)
+        yield Block({"n": 7, "k": range(4)}, ("k",), [0] * 4, [0] * 4)
+        yield Block({"n": 8, "k": range(0)}, ("k",), [], [])
+        raise ZeroDivisionError("forced")
+
+    report = run_identity(IdentitySpec("raises", "-", "-", {}, checker))
+    assert report.checked == 5
+    assert report.failures == [
+        {"params": {"n": 7, "k": 3}, "error": "ZeroDivisionError: forced"}
+    ]
+
+
+def test_block_sides_must_cover_its_sweep():
+    with pytest.raises(ValueError, match="block of 3 points has 3 left and 2 right"):
+        Block({"k": range(3)}, ("k",), [0, 0, 0], [0, 0])
+    with pytest.raises(ValueError, match="block of 4 points"):
+        Block({"k": range(2), "side": ("a", "b")}, ("k", "side"), [0] * 3, [0] * 3)
 
 
 # spot values quoted throughout the registry descriptions
