@@ -2,11 +2,15 @@
 functions, and the identity verification suite.
 
 Exit codes: 0 on success, 1 when a verification or self-check fails, 2 on
-usage errors.  Every invocation is deterministic; large integers are always
-emitted as decimal strings in JSON so no consumer can lose precision.
+usage errors and on ``coeff`` or ``table`` queries past the guard rails
+below.  Every invocation is deterministic; integers are printed in full
+whatever their size, and emitted as decimal strings in JSON so no consumer
+can lose precision.
 """
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import sys
 
@@ -14,13 +18,59 @@ import click
 
 from . import __version__
 from .coefficients import coeff, row
-from .errors import MismatchError
+from .errors import MismatchError, TooLarge
 from .genfun import carlitz_gf, column_gf, pk_by_recurrence
 from .identities import PROFILES, build_registry, run_identity
 from .series import IntPolynomial, TruncatedSeries
 from .trinomial import NUMERIC_CHECK_IDS, verification_suite
 
 FORMATS = click.Choice(["plain", "json", "csv"])
+
+# Guard rails for coeff and table, checked before anything is computed.
+MAX_ROW_SPAN = 10 ** 5  # |n|*m, which bounds the size of a row's values
+MAX_PREFIX = 10 ** 5  # coefficients computed for one row
+MAX_CELLS = 10 ** 6  # table cells, rows * (kmax + 1)
+
+
+def _check_bounds(n_far: int, m: int, prefix: int, cells: int = 1) -> None:
+    """Raise ``TooLarge`` for a query past one of the guard rails."""
+    for what, value, bound in (
+        ("|n|*m", n_far * m, MAX_ROW_SPAN),
+        ("the row prefix length", prefix, MAX_PREFIX),
+        ("the table cell count", cells, MAX_CELLS),
+    ):
+        if value > bound:
+            raise TooLarge(f"{what} is {value}, over the bound of {bound}")
+
+
+def _refuse_too_large(command):
+    """Report ``TooLarge`` as ``error: <message>`` on stderr with exit code 2."""
+
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except TooLarge as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
+
+    return run
+
+
+@contextlib.contextmanager
+def _all_digits():
+    # Python caps int-to-decimal conversion at 4300 digits where it has
+    # sys.set_int_max_str_digits (3.11, and 3.10 from 3.10.7); lift the cap
+    # while a command runs, so any value it admits is printed exactly.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def _validate_m(ctx, param, value):
@@ -44,8 +94,10 @@ def _parse_rows(ctx, param, value):
 
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
 @click.version_option(version=__version__, prog_name="polycoeffs")
-def cli():
+@click.pass_context
+def cli(ctx):
     """Exact coefficients of (1 + t + ... + t^m)^n for any integer n."""
+    ctx.with_resource(_all_digits())
 
 
 @cli.command("coeff")
@@ -54,8 +106,11 @@ def cli():
 @click.option("-m", "m", type=int, required=True, callback=_validate_m,
               help="Degree of 1 + t + ... + t^m, at least 1.")
 @click.option("--format", "fmt", type=FORMATS, default="plain", show_default=True)
+@_refuse_too_large
 def cmd_coeff(n, k, m, fmt):
     """Print one coefficient exactly."""
+    # for n >= 0, coeff reads <n,k> from the shorter side of the row
+    _check_bounds(abs(n), m, k + 1 if n < 0 else min(k, m * n - k) + 1)
     value = coeff(n, k, m)
     if fmt == "json":
         click.echo(json.dumps({"n": n, "k": k, "m": m, "value": str(value)}))
@@ -72,11 +127,15 @@ def cmd_coeff(n, k, m, fmt):
               help="Inclusive row range, e.g. -3..3.")
 @click.option("--kmax", type=int, required=True, help="Last column to emit.")
 @click.option("--format", "fmt", type=FORMATS, default="plain", show_default=True)
+@_refuse_too_large
 def cmd_table(m, rows, kmax, fmt):
     """Emit rows of the coefficient triangle, columns 0..kmax."""
     if kmax < 0:
         raise click.BadParameter("kmax must be non-negative", param_hint="--kmax")
     lo, hi = rows
+    # row n computes kmax + 1 terms when n < 0, min(kmax, mn) + 1 otherwise
+    prefix = max(kmax + 1 if n < 0 else min(kmax, m * n) + 1 for n in rows)
+    _check_bounds(max(abs(lo), abs(hi)), m, prefix, (hi - lo + 1) * (kmax + 1))
     table = [(n, row(n, m, kmax)) for n in range(lo, hi + 1)]
     if fmt == "json":
         payload = {

@@ -4,13 +4,21 @@
 integer n (negative included), with the convention that it is 0 for k < 0.
 
 The default path computes row prefixes by the paper's horizontal recurrence
-T2-ix, k<n,k> = sum_{i<=m} ((n+1)i - k) <n,k-i>, which is J.C.P. Miller's
-rule for powers of a series (``series.power``).  It needs no earlier row, so
-a prefix of length k of any row, of either sign, costs O(k m) operations and
-nothing is kept between calls.  Direct series expansion
-(``coeff_by_series``) goes through the same ``power`` helper, so it checks
-the plumbing rather than the recurrence.  The independent oracles, which
-share no code path with Miller's rule, are the closed form
+T2-ix, k<n,k> = sum_{i<=m} ((n+1)i - k) <n,k-i>, in its own kernel
+(``_row_prefix``).  Since every coefficient of 1 + t + ... + t^m is 1, the
+sum is (n+1) W - k S over the window b_{k-m} .. b_{k-1}, with
+S = sum_i b_{k-i} and W = sum_i i b_{k-i}, and both sums move from one k to
+the next in O(1).  It needs no earlier row, so a prefix of length k of any
+row, of either sign, costs O(k) operations on integers, and nothing is kept
+between calls.  For n >= 0, ``coeff`` reads <n,k> as <n,mn-k> past the
+middle of the row, so it builds at most half of it; ``row`` does not
+mirror, so row symmetry (T2-ii) stays a check of the kernel.
+
+Direct series expansion (``coeff_by_series``) goes through J.C.P. Miller's
+rule for powers of a series (``series.power``), the general form of T2-ix
+with one multiply-add per term of the base, which shares no code with the
+kernel and so cross-checks it.  The oracles that share no code path with
+either are the closed form
 sum_j (-1)^j C(n,j) C(n+k-j(m+1)-1, k-j(m+1)), the recursive reduction of
 the degree m down to ordinary binomials, and (for n >= 0) the multinomial
 enumeration.
@@ -21,7 +29,7 @@ import math
 from functools import lru_cache
 
 from .errors import NegativeN
-from .series import TruncatedSeries, power
+from .series import TruncatedSeries
 
 
 def _require_degree(m: int) -> None:
@@ -50,12 +58,34 @@ def chi(m: int, k: int) -> int:
     return 0
 
 
+def _row_prefix(n: int, m: int, length: int) -> list[int]:
+    """<n,0>, ..., <n,length-1> by T2-ix, carrying its window sums.
+
+    k b_k = (n+1) W - k S with S = sum_{i=1..m} b_{k-i} and
+    W = sum_{i=1..m} i b_{k-i}, b_j = 0 for j < 0; each step adds the
+    newest term to both sums and drops b_{k-1-m}.  The division is exact.
+    """
+    b = [0] * m + [1]  # b_j sits at index j + m, so the window never leaves the list
+    s = w = 0
+    n1 = n + 1
+    for k in range(1, length):
+        old = b[k - 1]
+        s += b[-1] - old
+        w += s - m * old
+        b.append((n1 * w - k * s) // k)
+    del b[:m]  # in place: a copy would double the peak memory of a long row
+    return b
+
+
 def coeff_by_recurrence(n: int, k: int, m: int) -> int:
-    """Miller's row recurrence T2-ix (the default path)."""
+    """The row recurrence T2-ix (the default path), from the short side of
+    the row when n >= 0."""
     _require_degree(m)
     if k < 0 or (n >= 0 and k > m * n):
         return 0
-    return power((1,) * (m + 1), n, k + 1)[k]
+    if n >= 0 and 2 * k > m * n:
+        k = m * n - k
+    return _row_prefix(n, m, k + 1)[k]
 
 
 def coeff_by_series(n: int, k: int, m: int) -> int:
@@ -114,7 +144,7 @@ def coeff_by_closed_form(n: int, k: int, m: int) -> int:
 
 
 def coeff(n: int, k: int, m: int) -> int:
-    """The default algorithm: Miller's row recurrence T2-ix."""
+    """The default algorithm: the row recurrence T2-ix."""
     return coeff_by_recurrence(n, k, m)
 
 
@@ -124,7 +154,7 @@ def row(n: int, m: int, limit: int) -> list[int]:
     if limit < 0:
         raise ValueError("limit must be non-negative")
     width = limit if n < 0 else min(limit, m * n)
-    out = power((1,) * (m + 1), n, width + 1)
+    out = _row_prefix(n, m, width + 1)
     out.extend([0] * (limit - width))
     return out
 

@@ -212,13 +212,33 @@ def hgf_series(
     )
 
 
-def _integrand(t: float, n: int, k: int, m: int) -> float:
-    s = math.sin(t)
-    if abs(s) < 1e-15:
-        ratio = float(m + 1)
-    else:
-        ratio = math.sin((m + 1) * t) / s
-    return ratio ** n * math.cos((n * m - 2 * k) * t)
+def _integral_checks(n: int, m: int, ks, tolerance: float, panels: int):
+    """``integral_coeff`` for each k in ``ks``, sharing one set of samples.
+
+    The nodes t and the kernel (sin((m+1)t) / sin t)^n depend on (n, m)
+    only, so they are computed once; each k then costs one cosine per node.
+    """
+    width = (math.pi / 2.0) / panels
+    samples = []
+    for p in range(panels):
+        left = p * width
+        for node, weight in _GL_POINTS:
+            t = left + (node + 1.0) * width / 2.0
+            s = math.sin(t)
+            ratio = float(m + 1) if abs(s) < 1e-15 else math.sin((m + 1) * t) / s
+            samples.append((t, weight, ratio ** n))
+    for k in ks:
+        frequency = n * m - 2 * k
+        total = 0.0
+        for t, weight, ratio_n in samples:
+            total += weight * (ratio_n * math.cos(frequency * t))
+        value = (2.0 / math.pi) * total * width / 2.0
+        yield NumericCheck.from_values(
+            f"integral representation n={n} k={k} m={m}",
+            value,
+            float(coeff(n, k, m)),
+            tolerance,
+        )
 
 
 def integral_coeff(
@@ -234,20 +254,7 @@ def integral_coeff(
         raise ValueError("m must be at least 1")
     if n < 0:
         raise NegativeN("the integral representation needs n >= 0")
-    width = (math.pi / 2.0) / panels
-    total = 0.0
-    for p in range(panels):
-        left = p * width
-        for node, weight in _GL_POINTS:
-            t = left + (node + 1.0) * width / 2.0
-            total += weight * _integrand(t, n, k, m)
-    value = (2.0 / math.pi) * total * width / 2.0
-    return NumericCheck.from_values(
-        f"integral representation n={n} k={k} m={m}",
-        value,
-        float(coeff(n, k, m)),
-        tolerance,
-    )
+    return next(_integral_checks(n, m, (k,), tolerance, panels))
 
 
 def numeric_binomial_check(
@@ -358,8 +365,8 @@ def _hgf_points():
 def _integral_points():
     for m in range(1, 5):
         for n in range(0, 7):
-            for k in range(0, m * n + 1):
-                check = integral_coeff(n, k, m)
+            checks = _integral_checks(n, m, range(m * n + 1), 1e-8, 8)
+            for k, check in enumerate(checks):
                 yield (
                     {"n": n, "k": k, "m": m},
                     check.passed,

@@ -1,9 +1,13 @@
 """End-to-end tests of the command-line interface."""
 import json
+import math
+import sys
+from decimal import Decimal
 
 import pytest
 from click.testing import CliRunner
 
+from polycoeffs import cli as cli_module
 from polycoeffs.cli import cli
 from polycoeffs.coefficients import coeff, row
 
@@ -43,15 +47,93 @@ def test_coeff_json_roundtrip(runner):
     assert int(payload["value"]) == coeff(-7, 33, 4)
 
 
-@pytest.mark.parametrize(
-    "n,k,expected",
-    [("1000000", "1", "1000000"), ("-1000000", "2", "499999500000")],
-)
-def test_coeff_far_rows(runner, n, k, expected):
-    # one coefficient of a far row costs O(k m), whatever |n| is
-    result = invoke(runner, "coeff", "-n", n, "-k", k, "-m", "2")
+def test_coeff_prints_values_past_the_int_string_limit(runner):
+    # C(20000, 10000) has 6,019 digits, past Python's default cap of 4,300
+    result = invoke(runner, "coeff", "-n", "20000", "-k", "10000", "-m", "1")
     assert result.exit_code == 0
-    assert result.output.strip() == expected
+    assert result.output.strip() == str(Decimal(math.comb(20000, 10000)))
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int-to-str digit cap")
+def test_digit_cap_is_restored_after_a_command(runner):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        assert invoke(runner, "coeff", "-n", "3", "-k", "4", "-m", "3").exit_code == 0
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_table_json_prints_values_past_the_int_string_limit(runner):
+    result = invoke(runner, "table", "-m", "1", "--rows", "-100000..-100000",
+                    "--kmax", "2100", "--format", "json")
+    assert result.exit_code == 0
+    last = json.loads(result.output)["rows"][0]["coeffs"][-1]
+    assert len(last) > 4300
+    assert last == str(Decimal(math.comb(100000 + 2100 - 1, 2100)))
+
+
+def _forbid_computing(monkeypatch):
+    def computed(*args):
+        raise AssertionError("the guard ran after computing")
+
+    monkeypatch.setattr(cli_module, "coeff", computed)
+    monkeypatch.setattr(cli_module, "row", computed)
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        pytest.param(("coeff", "-n", "100001", "-k", "0", "-m", "1"),
+                     "|n|*m is 100001", id="coeff-span"),
+        pytest.param(("coeff", "-n", "-50001", "-k", "3", "-m", "2"),
+                     "|n|*m is 100002", id="coeff-span-negative"),
+        # the CLI no longer answers rows this far out; the library still does
+        pytest.param(("coeff", "-n", "1000000", "-k", "1", "-m", "2"),
+                     "|n|*m is 2000000", id="coeff-far-row"),
+        pytest.param(("coeff", "-n", "-1", "-k", "100000", "-m", "2"),
+                     "row prefix length is 100001", id="coeff-prefix"),
+        pytest.param(("coeff", "-n", "-1", "-k", "1000000000", "-m", "2"),
+                     "row prefix length is 1000000001", id="coeff-runaway-prefix"),
+        pytest.param(("table", "-m", "2", "--rows", "-3..50001", "--kmax", "0"),
+                     "|n|*m is 100002", id="table-span"),
+        pytest.param(("table", "-m", "1", "--rows", "-1..-1", "--kmax", "100000"),
+                     "row prefix length is 100001", id="table-prefix-negative-row"),
+        pytest.param(("table", "-m", "1", "--rows", "100000..100000", "--kmax", "100000"),
+                     "row prefix length is 100001", id="table-prefix-positive-row"),
+        pytest.param(("table", "-m", "1", "--rows", "-10..0", "--kmax", "90909"),
+                     "table cell count is 1000010", id="table-cells"),
+    ],
+)
+def test_guard_rails_refuse_before_computing(runner, monkeypatch, args, message):
+    _forbid_computing(monkeypatch)
+    result = invoke(runner, *args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+    assert message in result.stderr
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("coeff", "-n", "100000", "-k", "0", "-m", "1"),
+        ("coeff", "-n", "-20000", "-k", "99999", "-m", "5"),
+        # n >= 0 reads the shorter side: 50,001 terms for the middle of the row
+        ("coeff", "-n", "100000", "-k", "50000", "-m", "1"),
+        ("table", "-m", "1", "--rows", "-1..-1", "--kmax", "99999"),
+        ("table", "-m", "1", "--rows", "99999..99999", "--kmax", "100000"),
+        ("table", "-m", "1", "--rows", "-9..0", "--kmax", "99999"),
+    ],
+)
+def test_guard_rails_admit_queries_at_the_bounds(runner, monkeypatch, args):
+    monkeypatch.setattr(cli_module, "coeff", lambda n, k, m: 0)
+    monkeypatch.setattr(cli_module, "row", lambda n, m, limit: [0] * (limit + 1))
+    result = invoke(runner, *args, "--format", "csv")
+    assert result.exit_code == 0, result.output
 
 
 def test_coeff_rejects_bad_degree(runner):

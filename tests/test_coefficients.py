@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from polycoeffs import coefficients, series
 from polycoeffs.coefficients import (
     binom,
     chi,
@@ -219,6 +220,62 @@ def test_differential_against_independent_oracles(n, m, data):
         assert coeff_by_binom_reduction(n, k, m) == expected
     if 0 <= n <= 6:
         assert multinomial_oracle(n, k, m) == expected
+
+
+@pytest.mark.parametrize(
+    "n,k,expected", [(1000000, 1, 1000000), (-1000000, 2, 499999500000)]
+)
+def test_coeff_far_rows(n, k, expected):
+    # one coefficient of a far row costs O(k), whatever |n| is
+    assert coeff(n, k, 2) == expected
+
+
+@given(
+    st.one_of(st.integers(-300, 300), st.just(0)),
+    st.integers(1, 8),
+    st.data(),
+)
+def test_row_kernel_matches_series_power(n, m, data):
+    # lengths up to m + 1 end while the window sums are still filling
+    limit = data.draw(
+        st.one_of(st.integers(0, m), st.integers(0, m * abs(n) + 2 * m + 2)),
+        label="limit",
+    )
+    width = limit if n < 0 else min(limit, m * n)
+    expected = series.power((1,) * (m + 1), n, width + 1) + [0] * (limit - width)
+    assert row(n, m, limit) == expected
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 7])
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 40])
+def test_coeff_reads_the_mirrored_side(n, m):
+    # k = mn, every 2k > mn, and both middles when mn is odd
+    span = m * n
+    ks = {span, span - 1, span // 2, (span + 1) // 2, span // 2 + 1}
+    ks |= set(range(span // 2 + 1, span + 1, max(1, span // 7)))
+    for k in sorted(k for k in ks if 0 <= k <= span):
+        assert coeff(n, k, m) == coeff_by_closed_form(n, k, m), k
+    if span % 2:
+        assert coeff(n, span // 2, m) == coeff(n, span // 2 + 1, m)
+    assert coeff(n, span + 1, m) == 0
+
+
+def test_default_path_needs_no_series_power(monkeypatch):
+    # coeff and row have their own kernel, so they stay independent of the
+    # series code that coeff_by_series cross-checks them against
+    def forbidden(*args):
+        raise AssertionError("series.power was called")
+
+    monkeypatch.setattr(series, "power", forbidden)
+    # and under the name coefficients.py would import it by
+    monkeypatch.setattr(coefficients, "power", forbidden, raising=False)
+    for n, k, m in [(7, 9, 3), (7, 20, 3), (-6, 14, 2), (0, 0, 4)]:
+        expected = coeff_by_closed_form(n, k, m)
+        assert coeff(n, k, m) == expected
+        assert row(n, m, k)[k] == expected
+        assert coeff_by_binom_reduction(n, k, m) == expected
+    with pytest.raises(AssertionError, match="series.power"):
+        coeff_by_series(-6, 14, 2)
 
 
 def test_cache_transparency():

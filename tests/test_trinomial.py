@@ -7,6 +7,7 @@ import pytest
 from polycoeffs.coefficients import coeff
 from polycoeffs.errors import DomainError, NegativeN, TooLarge
 from polycoeffs.trinomial import (
+    _GL_POINTS,
     NUMERIC_CHECK_IDS,
     NumericCheck,
     brafman_partial,
@@ -18,6 +19,7 @@ from polycoeffs.trinomial import (
     pochhammer,
     rainville_32,
     rainville_36,
+    _integral_points,
     verification_suite,
 )
 
@@ -138,6 +140,32 @@ def test_integral_row_zero():
 def test_integral_known_values():
     assert integral_coeff(3, 4, 3).passed
     assert integral_coeff(2, 2, 2).passed
+
+
+def _integral_reference(n, k, m, panels=8):
+    # the quadrature one k at a time, every node and power recomputed
+    width = (math.pi / 2.0) / panels
+    total = 0.0
+    for p in range(panels):
+        left = p * width
+        for node, weight in _GL_POINTS:
+            t = left + (node + 1.0) * width / 2.0
+            s = math.sin(t)
+            ratio = float(m + 1) if abs(s) < 1e-15 else math.sin((m + 1) * t) / s
+            total += weight * (ratio ** n * math.cos((n * m - 2 * k) * t))
+    return (2.0 / math.pi) * total * width / 2.0
+
+
+def test_integral_grid_is_bit_identical_to_per_k_quadrature():
+    # sharing the samples over k keeps every product and the summation order
+    points = list(_integral_points())
+    assert len(points) == 238
+    for params, passed, computed, expected in points:
+        assert passed
+        assert computed == _integral_reference(params["n"], params["k"], params["m"])
+    for n, k, m, panels in [(3, 4, 3, 8), (5, 1, 2, 3), (0, 2, 1, 8)]:
+        check = integral_coeff(n, k, m, panels=panels)
+        assert check.computed == _integral_reference(n, k, m, panels)
 
 
 def test_integral_rejects_negative_rows():
