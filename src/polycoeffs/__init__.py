@@ -35,16 +35,14 @@ from .genfun import (
 )
 from .identities import (
     PROFILES,
-    GaussianInt,
     IdentityReport,
     IdentitySpec,
     Profile,
     build_registry,
-    gaussian_pow,
     run_identity,
     run_suite,
 )
-from .series import IntPolynomial, TruncatedSeries, from_poly, solve_carlitz_y
+from .series import IntPolynomial, TruncatedSeries, solve_carlitz_y
 from .trinomial import (
     NumericCheck,
     brafman_partial,
@@ -62,7 +60,6 @@ from .trinomial import (
 __all__ = [
     "ColumnGF",
     "FNumberSeq",
-    "GaussianInt",
     "IdentityReport",
     "IdentitySpec",
     "IntPolynomial",
@@ -84,8 +81,6 @@ __all__ = [
     "dilcher_sum",
     "euler_gf_check",
     "f_numbers",
-    "from_poly",
-    "gaussian_pow",
     "gegenbauer",
     "hgf_series",
     "integral_coeff",

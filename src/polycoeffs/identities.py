@@ -1,16 +1,15 @@
 """Registry of exactly-verifiable coefficient identities.
 
 Each entry pairs a parameter grid with a checker that evaluates both sides
-of one identity in exact arithmetic (integers, rationals, Gaussian
-integers).  Failures are collected as data rather than aborting, so a report
-always describes the whole grid.
+of one identity in exact arithmetic (integers and rationals).  Failures are
+collected as data rather than aborting, so a report always describes the
+whole grid.
 
-Checkers that sweep an index yield a ``Block`` per row or convolution: the
+Every checker yields ``Block``s, one per row, convolution or degree: the
 fixed parameters, the swept ones as sequences, and both sides as two
 equal-length lists.  ``run_identity`` compares the two lists at once and
 decodes points only on a mismatch, so the deep profile's 771,690 points do
-not each cost a params dict, a tuple and a comparison.  Identities with one
-value per parameter set yield plain ``(params, lhs, rhs)`` points.
+not each cost a params dict, a tuple and a comparison.
 
 Grid conventions: degree m starts at 1; row indices run over both signs
 where an identity permits them; column indices sweep the natural support
@@ -32,9 +31,6 @@ from typing import Any, Callable, Iterator, Mapping
 
 from .coefficients import binom, chi, coeff, multinomial_oracle, row
 from .genfun import pk_by_recurrence
-
-CheckPoint = tuple[dict, Any, Any]
-
 
 class Block:
     """Grid points sharing ``params``: each key in ``swept`` maps to a
@@ -67,7 +63,7 @@ class Block:
                 yield {"params": self.point(index), "lhs": lhs, "rhs": rhs}
 
 
-Checker = Callable[[Mapping[str, Any]], Iterator[Block | CheckPoint]]
+Checker = Callable[[Mapping[str, Any]], Iterator[Block]]
 
 
 @dataclass(frozen=True)
@@ -189,50 +185,16 @@ def _unpack(packed: int, width: int, count: int) -> list[int]:
     ]
 
 
-@dataclass(frozen=True)
-class GaussianInt:
-    """A Gaussian integer, used for evaluating p_m at the imaginary unit."""
-
-    re: int
-    im: int
-
-    def __add__(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt(self.re + other.re, self.im + other.im)
-
-    def __mul__(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def __pow__(self, n: int) -> "GaussianInt":
-        if n < 0:
-            raise ValueError("negative Gaussian powers are not needed here")
-        result = GaussianInt(1, 0)
-        for _ in range(n):
-            result = result * self
-        return result
-
-
-def gaussian_pow(m: int, n: int) -> GaussianInt:
-    """(1 + i + i^2 + ... + i^m)^n computed exactly in the Gaussian integers."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    counts = [0, 0, 0, 0]
-    for j in range(m + 1):
-        counts[j % 4] += 1
-    base = GaussianInt(counts[0] - counts[2], counts[1] - counts[3])
-    return base ** n
-
-
 # ---------------------------------------------------------------------------
-# checkers: a Block per swept row, or (params, lhs, rhs) per grid point
+# checkers: a Block per swept row, or per degree m for one value per row n
 
 
 def _k_block(m: int, n: int, ks, lhs: list, rhs: list) -> Block:
     return Block({"m": m, "n": n, "k": ks}, ("k",), lhs, rhs)
+
+
+def _n_block(m: int, ns, lhs: list, rhs: list) -> Block:
+    return Block({"m": m, "n": ns}, ("n",), lhs, rhs)
 
 
 _SIDES = ("first", "second")
@@ -336,18 +298,17 @@ def _bivariate_mul(a: dict, b: dict) -> dict:
     return {key: c for key, c in out.items() if c}
 
 
-def _check_binomial_theorem(grid) -> Iterator[CheckPoint]:
+def _check_binomial_theorem(grid) -> Iterator[Block]:
     # exact bivariate expansion; valid verbatim for n >= 0
+    ns = grid["n"]
     for m in grid["m"]:
-        for n in grid["n"]:
-            lhs = {(k, m * n - k): c for k, c in enumerate(row(n, m, m * n)) if c}
-            base = {(i, m - i): 1 for i in range(m + 1)}
-            rhs = _bivariate_power(base, n)
-            yield (
-                {"m": m, "n": n},
-                sorted(lhs.items()),
-                sorted(rhs.items()),
-            )
+        base = {(i, m - i): 1 for i in range(m + 1)}
+        lhs = [
+            [((k, m * n - k), c) for k, c in enumerate(row(n, m, m * n)) if c]
+            for n in ns
+        ]
+        rhs = [sorted(_bivariate_power(base, n).items()) for n in ns]
+        yield _n_block(m, ns, lhs, rhs)
 
 
 def _check_upper_summation(grid) -> Iterator[Block]:
@@ -406,56 +367,69 @@ def _check_chi_convolution(grid) -> Iterator[Block]:
             yield _k_block(m, n, ks, lhs, [_at(prior, k) for k in ks])
 
 
-def _check_f_numbers_column(grid) -> Iterator[CheckPoint]:
+def _check_f_numbers_column(grid) -> Iterator[Block]:
     half = Fraction(1, 2)
+    ns = grid["n"]
     for m in grid["m"]:
-        n_top = max(grid["n"])
         f_rec = []
-        for n in range(n_top + 1):
+        for n in range(max(ns) + 1):
             if n <= 1:
                 f_rec.append(1)
             else:
                 lag = f_rec[n - m - 1] if n - m - 1 >= 0 else 0
                 f_rec.append(2 * f_rec[n - 1] - lag)
-        for n in grid["n"]:
-            lhs = 2 ** (n + 1) * pk_by_recurrence(m, n)(half)
-            yield ({"m": m, "n": n}, lhs, 2 * f_rec[n])
+        lhs = [2 ** (n + 1) * pk_by_recurrence(m, n)(half) for n in ns]
+        yield _n_block(m, ns, lhs, [2 * f_rec[n] for n in ns])
 
 
-def _check_alternating_diagonal(grid) -> Iterator[CheckPoint]:
+def _check_alternating_diagonal(grid) -> Iterator[Block]:
+    ns = grid["n"]
     for m in grid["m"]:
-        for n in grid["n"]:
-            lhs = sum(
-                (-1 if (n - k) & 1 else 1) * coeff(n - k, k, m) for k in range(n + 1)
-            )
-            yield ({"m": m, "n": n}, lhs, chi(m + 1, n))
+        lhs = [
+            sum((-1 if (n - k) & 1 else 1) * coeff(n - k, k, m) for k in range(n + 1))
+            for n in ns
+        ]
+        yield _n_block(m, ns, lhs, [chi(m + 1, n) for n in ns])
 
 
-def _check_weighted_diagonal(grid) -> Iterator[CheckPoint]:
+def _check_weighted_diagonal(grid) -> Iterator[Block]:
+    ns = grid["n"]
     for m in grid["m"]:
-        for n in grid["n"]:
-            lhs = Fraction(0)
+        lhs = []
+        for n in ns:
+            total = Fraction(0)
             for k in range(m * n // (m + 1) + 1):
                 sign = -1 if (n - k) & 1 else 1
-                lhs += Fraction(sign * coeff(n - k, k, m) * n, n - k)
-            rhs = m + 1 if n % (m + 2) == 0 else -1
-            yield ({"m": m, "n": n}, lhs, Fraction(rhs))
+                total += Fraction(sign * coeff(n - k, k, m) * n, n - k)
+            lhs.append(total)
+        rhs = [Fraction(m + 1 if n % (m + 2) == 0 else -1) for n in ns]
+        yield _n_block(m, ns, lhs, rhs)
 
 
-def _check_parity_sums(grid) -> Iterator[CheckPoint]:
+def _p_m_at_i(m: int, n: int) -> tuple[int, int]:
+    """Re and Im of (1 + i + i^2 + ... + i^m)^n, exactly."""
+    # the powers of i cycle through 1, i, -1, -i
+    re = sum((1, 0, -1, 0)[j % 4] for j in range(m + 1))
+    im = sum((0, 1, 0, -1)[j % 4] for j in range(m + 1))
+    power = (1, 0)
+    for _ in range(n):
+        power = (power[0] * re - power[1] * im, power[0] * im + power[1] * re)
+    return power
+
+
+def _check_parity_sums(grid) -> Iterator[Block]:
+    ns = grid["n"]
     for m in grid["m"]:
-        for n in grid["n"]:
-            g = gaussian_pow(m, n)
+        lhs, rhs = [], []
+        for n in ns:
+            # sum_k <n,k> i^k: even k give the real part, odd k the imaginary
             values = row(n, m, m * n)
-            even = sum(
-                (-1 if k & 1 else 1) * values[2 * k] for k in range(m * n // 2 + 1)
-            )
-            odd = sum(
-                (-1 if k & 1 else 1) * values[2 * k + 1]
-                for k in range((m * n - 1) // 2 + 1)
-            )
-            yield ({"m": m, "n": n, "part": "even"}, even, g.re)
-            yield ({"m": m, "n": n, "part": "odd"}, odd, g.im)
+            lhs += [
+                sum(values[0::4]) - sum(values[2::4]),
+                sum(values[1::4]) - sum(values[3::4]),
+            ]
+            rhs += _p_m_at_i(m, n)
+        yield Block({"m": m, "n": ns, "part": ("even", "odd")}, ("n", "part"), lhs, rhs)
 
 
 def _check_shifted_products(grid) -> Iterator[Block]:
@@ -495,54 +469,61 @@ def _check_shifted_products(grid) -> Iterator[Block]:
                     )
 
 
-def _check_square_sums(grid) -> Iterator[CheckPoint]:
+def _check_square_sums(grid) -> Iterator[Block]:
+    ns = grid["n"]
     for m in grid["m"]:
-        for n in grid["n"]:
+        lhs, rhs = [], []
+        for n in ns:
             values = row(n, m, m * n)
             central = coeff(2 * n, m * n, m)
             s0 = sum(c * c for c in values)
             s1 = sum(k * c * c for k, c in enumerate(values))
             s2 = sum(k * k * c * c for k, c in enumerate(values))
-            yield ({"m": m, "n": n, "moment": 0}, s0, central)
-            yield ({"m": m, "n": n, "moment": 1}, 2 * s1, m * n * central)
             rhs2 = n * n * sum(
                 i * (m * (n - 1) + i) * coeff(2 * n - 1, m * n - i, m)
                 for i in range(1, m + 1)
             )
-            yield ({"m": m, "n": n, "moment": 2}, (2 * n - 1) * s2, rhs2)
+            lhs += [s0, 2 * s1, (2 * n - 1) * s2]
+            rhs += [central, m * n * central, rhs2]
+        yield Block({"m": m, "n": ns, "moment": (0, 1, 2)}, ("n", "moment"), lhs, rhs)
 
 
-def _check_alternating_squares(grid) -> Iterator[CheckPoint]:
+def _alternating_square_sum(values: list[int]) -> int:
+    return sum(c * c for c in values[0::2]) - sum(c * c for c in values[1::2])
+
+
+def _alternating_square_closed_form(m: int, n: int) -> int:
+    if (m * n) & 1:
+        return 0
+    if m % 2 == 0:
+        return coeff(n, m * n // 2, m)
+    half_degree = (m - 1) // 2
+    # degree 0 means the base polynomial is the constant 1
+    return sum(
+        (-1 if i & 1 else 1)
+        * binom(n, i)
+        * (
+            coeff(2 * n, m * n // 2 - i, half_degree)
+            if half_degree
+            else int(m * n // 2 == i)
+        )
+        for i in range(n + 1)
+    )
+
+
+def _check_alternating_squares(grid) -> Iterator[Block]:
+    ns = grid["n"]
     for m in grid["m"]:
-        for n in grid["n"]:
-            values = row(n, m, m * n)
-            lhs = sum((-1 if k & 1 else 1) * c * c for k, c in enumerate(values))
-            if (m * n) & 1:
-                rhs = 0
-            elif m % 2 == 0:
-                rhs = coeff(n, m * n // 2, m)
-            else:
-                half_degree = (m - 1) // 2
-                # degree 0 means the base polynomial is the constant 1
-                rhs = sum(
-                    (-1 if i & 1 else 1)
-                    * binom(n, i)
-                    * (
-                        coeff(2 * n, m * n // 2 - i, half_degree)
-                        if half_degree
-                        else int(m * n // 2 == i)
-                    )
-                    for i in range(n + 1)
-                )
-            yield ({"m": m, "n": n}, lhs, rhs)
+        lhs = [_alternating_square_sum(row(n, m, m * n)) for n in ns]
+        rhs = [_alternating_square_closed_form(m, n) for n in ns]
+        yield _n_block(m, ns, lhs, rhs)
 
 
-def _check_quadrinomial_squares(grid) -> Iterator[CheckPoint]:
-    for r in grid["r"]:
-        values = row(2 * r, 3, 6 * r)
-        lhs = sum((-1 if k & 1 else 1) * c * c for k, c in enumerate(values))
-        rhs = (-1 if r & 1 else 1) * math.comb(4 * r, r)
-        yield ({"r": r}, lhs, rhs)
+def _check_quadrinomial_squares(grid) -> Iterator[Block]:
+    rs = grid["r"]
+    lhs = [_alternating_square_sum(row(2 * r, 3, 6 * r)) for r in rs]
+    rhs = [(-1 if r & 1 else 1) * math.comb(4 * r, r) for r in rs]
+    yield Block({"r": rs}, ("r",), lhs, rhs)
 
 
 def _check_binomial_weightings(grid) -> Iterator[Block]:
@@ -732,29 +713,20 @@ def build_registry(profile: Profile | str = "desk") -> list[IdentitySpec]:
 def run_identity(spec: IdentitySpec) -> IdentityReport:
     """Evaluate one identity over its whole grid, collecting all failures; a
     checker that raises adds one failure with the params of the last point
-    it yielded and the error."""
+    it yielded ({} before the first) and the error."""
     start = time.perf_counter()
     checked = 0
     failures: list[dict] = []
     last: Block | None = None
-    params: Mapping[str, Any] = {}
     try:
-        for item in spec.checker(spec.grid):
-            if isinstance(item, Block):
-                checked += len(item.lhs)
-                if item.lhs:
-                    last = item
-                if item.lhs != item.rhs:
-                    failures.extend(item.mismatches())
-            else:
-                params, lhs, rhs = item
-                last = None
-                checked += 1
-                if lhs != rhs:
-                    failures.append({"params": params, "lhs": lhs, "rhs": rhs})
+        for block in spec.checker(spec.grid):
+            checked += len(block.lhs)
+            if block.lhs:
+                last = block
+            if block.lhs != block.rhs:
+                failures.extend(block.mismatches())
     except Exception as exc:
-        if last is not None:
-            params = last.point(len(last.lhs) - 1)
+        params = {} if last is None else last.point(len(last.lhs) - 1)
         failures.append({"params": params, "error": f"{type(exc).__name__}: {exc}"})
     elapsed = time.perf_counter() - start
     return IdentityReport(spec.id, _grid_text(spec.grid), checked, failures, elapsed)

@@ -60,6 +60,8 @@ class TruncatedSeries:
     shared between threads freely.  Arithmetic truncates to the minimum order
     of its operands and never silently extends precision: reading a
     coefficient beyond the truncation order raises ``IndexError``.
+    ``TruncatedSeries(coeffs, order)`` embeds a polynomial, zero-padded or
+    truncated to ``order``; without ``order`` it keeps every coefficient.
     """
 
     def __init__(self, coeffs: Iterable[Scalar], order: int | None = None):
@@ -91,15 +93,6 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({list(self.coeffs)!r})"
-
-    @property
-    def is_integer_valued(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a series beyond its known order")
-        return TruncatedSeries(self.coeffs[: order + 1])
 
     def __add__(self, other):
         if isinstance(other, TruncatedSeries):
@@ -170,11 +163,6 @@ class TruncatedSeries:
         for c in reversed(self.coeffs):
             result = result * inner + c
         return result
-
-
-def from_poly(coeffs: Iterable[Scalar], order: int) -> TruncatedSeries:
-    """Embed a polynomial as a series, zero-padded or truncated to ``order``."""
-    return TruncatedSeries(coeffs, order)
 
 
 def solve_carlitz_y(m: int, b: int, order: int) -> TruncatedSeries:

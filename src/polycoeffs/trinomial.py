@@ -28,25 +28,17 @@ _GL_POINTS = list(zip(_GL_NODES.tolist(), _GL_WEIGHTS.tolist()))
 
 @dataclass(frozen=True)
 class NumericCheck:
-    """A float comparison with an explicit tolerance."""
+    """A computed value against an expected one, within an explicit
+    tolerance; ``Fraction``s at tolerance 0 are compared exactly."""
 
     description: str
-    computed: float
-    expected: float
+    computed: float | Fraction
+    expected: float | Fraction
     tolerance: float
-    passed: bool
 
-    @classmethod
-    def from_values(
-        cls, description: str, computed: float, expected: float, tolerance: float
-    ) -> "NumericCheck":
-        return cls(
-            description,
-            computed,
-            expected,
-            tolerance,
-            abs(computed - expected) <= tolerance,
-        )
+    @property
+    def passed(self) -> bool:
+        return abs(self.computed - self.expected) <= self.tolerance
 
 
 def gegenbauer(alpha: int, degree: int, argument) -> Fraction:
@@ -176,7 +168,7 @@ def brafman_partial(n: int, terms: int, tolerance: float | None = None) -> Numer
     computed = cesaro_acc / terms if n == 1 else partial
     tol = _brafman_default_tolerance(n) if tolerance is None else tolerance
     label = "cesaro" if n == 1 else "partial"
-    return NumericCheck.from_values(
+    return NumericCheck(
         f"cubed trinomial series n={n} ({label}, {terms} terms)",
         computed,
         expected,
@@ -204,7 +196,7 @@ def hgf_series(
         t_power *= t
     root = math.sqrt(1.0 + t + t * t)
     expected = 2 ** (n - 0.5) / root * (1.0 + t / 2.0 + root) ** (0.5 - n)
-    return NumericCheck.from_values(
+    return NumericCheck(
         f"hypergeometric-type series n={n} t={t:g} ({terms} terms)",
         total,
         expected,
@@ -233,7 +225,7 @@ def _integral_checks(n: int, m: int, ks, tolerance: float, panels: int):
         for t, weight, ratio_n in samples:
             total += weight * (ratio_n * math.cos(frequency * t))
         value = (2.0 / math.pi) * total * width / 2.0
-        yield NumericCheck.from_values(
+        yield NumericCheck(
             f"integral representation n={n} k={k} m={m}",
             value,
             float(coeff(n, k, m)),
@@ -283,7 +275,7 @@ def numeric_binomial_check(
     for k in range(terms):
         partial += values[k] * x ** k * y ** (m * n - k)
     closed = sum(x ** i * y ** (m - i) for i in range(m + 1)) ** n
-    return NumericCheck.from_values(
+    return NumericCheck(
         f"negative-row expansion n={n} m={m} x={x:g} y={y:g} ({terms} terms)",
         partial,
         closed,
@@ -292,17 +284,8 @@ def numeric_binomial_check(
 
 
 # ---------------------------------------------------------------------------
-# report-shaped wrappers so the CLI can run these alongside the exact suite
-
-NUMERIC_CHECK_IDS = (
-    "ID11",
-    "ID12",
-    "ID13",
-    "ID14",
-    "ID15",
-    "INTEGRAL",
-    "T2-vi-numeric",
-)
+# the numeric registry: each entry yields (params, NumericCheck) pairs, which
+# _report turns into an IdentityReport like run_identity's
 
 
 def _report(identity_id, grid_text, points) -> IdentityReport:
@@ -312,10 +295,12 @@ def _report(identity_id, grid_text, points) -> IdentityReport:
     failures = []
     params = {}
     try:
-        for params, ok, lhs, rhs in points:
+        for params, check in points:
             checked += 1
-            if not ok:
-                failures.append({"params": params, "lhs": lhs, "rhs": rhs})
+            if not check.passed:
+                failures.append(
+                    {"params": params, "lhs": check.computed, "rhs": check.expected}
+                )
     except Exception as exc:
         failures.append({"params": params, "error": f"{type(exc).__name__}: {exc}"})
     return IdentityReport(
@@ -326,13 +311,10 @@ def _report(identity_id, grid_text, points) -> IdentityReport:
 def _dilcher_points():
     for n in range(1, 7):
         for k in range(0, 7):
-            computed = dilcher_sum(n, k)
-            expected = float(coeff(-n, k, 2))
+            computed, expected = dilcher_sum(n, k), float(coeff(-n, k, 2))
             yield (
                 {"n": n, "k": k},
-                abs(computed - expected) <= 1e-6,
-                computed,
-                expected,
+                NumericCheck(f"cosine products n={n} k={k}", computed, expected, 1e-6),
             )
 
 
@@ -341,25 +323,19 @@ def _rainville_points(formula):
     for p in range(1, 7):
         for n in range(0, n_top + 1):
             lhs, rhs = formula(p, n)
-            yield ({"p": p, "n": n}, lhs == rhs, lhs, rhs)
+            check = NumericCheck(f"{formula.__name__} p={p} n={n}", lhs, rhs, 0)
+            yield {"p": p, "n": n}, check
 
 
 def _brafman_points():
     for n, terms, tol in ((2, 100_000, 1e-3), (3, 5_000, 1e-6)):
-        check = brafman_partial(n, terms, tol)
-        yield (
-            {"n": n, "terms": terms, "tolerance": tol},
-            check.passed,
-            check.computed,
-            check.expected,
-        )
+        yield {"n": n, "terms": terms, "tolerance": tol}, brafman_partial(n, terms, tol)
 
 
 def _hgf_points():
     for n in (1, 2, 3):
         for t in (0.25, -0.25, 0.5, -0.5):
-            check = hgf_series(n, t, 400)
-            yield ({"n": n, "t": t}, check.passed, check.computed, check.expected)
+            yield {"n": n, "t": t}, hgf_series(n, t, 400)
 
 
 def _integral_points():
@@ -367,12 +343,7 @@ def _integral_points():
         for n in range(0, 7):
             checks = _integral_checks(n, m, range(m * n + 1), 1e-8, 8)
             for k, check in enumerate(checks):
-                yield (
-                    {"n": n, "k": k, "m": m},
-                    check.passed,
-                    check.computed,
-                    check.expected,
-                )
+                yield {"n": n, "k": k, "m": m}, check
 
 
 def _binomial_numeric_points():
@@ -383,33 +354,31 @@ def _binomial_numeric_points():
         (-3, 2, 0.05, 1.0, 80),
     )
     for n, m, x, y, terms in samples:
-        check = numeric_binomial_check(n, m, x, y, terms)
         yield (
             {"n": n, "m": m, "x": x, "y": y, "terms": terms},
-            check.passed,
-            check.computed,
-            check.expected,
+            numeric_binomial_check(n, m, x, y, terms),
         )
 
 
+# id -> (grid text, points), in report order
+NUMERIC_CHECKS = {
+    "ID11": ("n=1..6, k=0..6, tol=1e-6", _dilcher_points),
+    "ID12": ("p=1..6, n=0..8, exact", lambda: _rainville_points(rainville_32)),
+    "ID13": ("p=1..6, n=0..10, exact", lambda: _rainville_points(rainville_36)),
+    "ID14": ("n=2 (1e5 terms), n=3 (5e3 terms)", _brafman_points),
+    "ID15": ("n=1..3, t in {+-0.25, +-0.5}, tol=1e-10", _hgf_points),
+    "INTEGRAL": ("n=0..6, m=1..4, k=0..mn, tol=1e-8", _integral_points),
+    "T2-vi-numeric": ("sampled (n,m,x,y), tol=1e-10", _binomial_numeric_points),
+}
+NUMERIC_CHECK_IDS = tuple(NUMERIC_CHECKS)
+
+
 def verification_suite(only: str | None = None) -> list[IdentityReport]:
-    """Reports for the numeric and trinomial checks, in a fixed order."""
-    builders = {
-        "ID11": ("n=1..6, k=0..6, tol=1e-6", _dilcher_points),
-        "ID12": ("p=1..6, n=0..8, exact", lambda: _rainville_points(rainville_32)),
-        "ID13": ("p=1..6, n=0..10, exact", lambda: _rainville_points(rainville_36)),
-        "ID14": ("n=2 (1e5 terms), n=3 (5e3 terms)", _brafman_points),
-        "ID15": ("n=1..3, t in {+-0.25, +-0.5}, tol=1e-10", _hgf_points),
-        "INTEGRAL": ("n=0..6, m=1..4, k=0..mn, tol=1e-8", _integral_points),
-        "T2-vi-numeric": ("sampled (n,m,x,y), tol=1e-10", _binomial_numeric_points),
-    }
-    if only is not None:
-        if only not in builders:
-            raise KeyError(only)
-        selected = [only]
-    else:
-        selected = list(NUMERIC_CHECK_IDS)
-    return [
-        _report(identity_id, builders[identity_id][0], builders[identity_id][1]())
-        for identity_id in selected
-    ]
+    """Reports for the numeric and trinomial checks, in table order; an
+    unknown ``only`` raises ``KeyError``."""
+    selected = NUMERIC_CHECK_IDS if only is None else (only,)
+    reports = []
+    for identity_id in selected:
+        grid_text, points = NUMERIC_CHECKS[identity_id]
+        reports.append(_report(identity_id, grid_text, points()))
+    return reports

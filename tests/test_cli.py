@@ -250,28 +250,36 @@ def test_verify_unknown_selector(runner):
 
 def test_verify_failure_exits_one(runner, monkeypatch):
     from polycoeffs import cli as cli_module
-    from polycoeffs.identities import IdentitySpec
+    from polycoeffs.identities import Block, IdentitySpec
 
     broken = IdentitySpec(
         "T2-ii", "broken on purpose", "-", {"n": range(3)},
-        lambda grid: (({"n": n}, n, n + 1) for n in grid["n"]),
+        lambda grid: iter([Block(grid, ("n",), [0, 1, 2], [1, 2, 3])]),
     )
     monkeypatch.setattr(cli_module, "build_registry", lambda profile: [broken])
     result = invoke(runner, "verify", "T2-ii")
     assert result.exit_code == 1
-    assert "FAIL T2-ii" in result.output
+    # three counterexamples with both sides, not a checker that raised
+    assert result.output.splitlines() == [
+        "FAIL T2-ii checked=3 failures=3",
+        "    at {'n': 0}: lhs=0 rhs=1",
+        "    at {'n': 1}: lhs=1 rhs=2",
+        "    at {'n': 2}: lhs=2 rhs=3",
+    ]
 
 
 def test_verify_raising_checker_fails_without_aborting(runner, monkeypatch):
     from polycoeffs import cli as cli_module
-    from polycoeffs.identities import IdentitySpec
+    from polycoeffs.identities import Block, IdentitySpec
 
     def explode(grid):
-        yield ({"n": 0}, 0, 0)
+        yield Block({"n": 0}, (), [0], [0])
         raise ValueError("forced")
 
     raising = IdentitySpec("T2-ii", "raises on purpose", "-", {}, explode)
-    passing = IdentitySpec("T2-v", "holds", "-", {}, lambda grid: iter([({}, 1, 1)]))
+    passing = IdentitySpec(
+        "T2-v", "holds", "-", {}, lambda grid: iter([Block({}, (), [1], [1])])
+    )
     monkeypatch.setattr(cli_module, "build_registry", lambda profile: [raising, passing])
     monkeypatch.setattr(cli_module, "verification_suite", lambda: [])
     result = invoke(runner, "verify", "all")
@@ -293,7 +301,7 @@ def test_verify_raising_numeric_check_fails_without_aborting(runner, monkeypatch
         if formula is not trinomial.rainville_32:
             yield from exact_points(formula)
             return
-        yield ({"p": 1, "n": 0}, True, 1, 1)
+        yield {"p": 1, "n": 0}, trinomial.NumericCheck("holds", 1, 1, 0)
         raise ValueError("forced")
 
     monkeypatch.setattr(trinomial, "_rainville_points", raising_points)

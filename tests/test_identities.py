@@ -1,4 +1,4 @@
-"""Tests for the identity registry, its reports, and the Gaussian helper."""
+"""Tests for the identity registry, its reports, and its exact helpers."""
 import json
 import math
 from fractions import Fraction
@@ -13,14 +13,13 @@ from polycoeffs.coefficients import chi, coeff, row
 from polycoeffs.identities import (
     PROFILES,
     Block,
-    GaussianInt,
     IdentitySpec,
     _at,
+    _p_m_at_i,
     _pack,
     _unpack,
     _width,
     build_registry,
-    gaussian_pow,
     run_identity,
     run_suite,
 )
@@ -111,7 +110,7 @@ def test_failures_carry_params_and_sides():
         "always wrong",
         "-",
         {"n": range(2)},
-        lambda grid: (({"n": n}, 0, 1) for n in grid["n"]),
+        lambda grid: iter([Block(grid, ("n",), [0, 0], [1, 1])]),
     )
     report = run_identity(spec)
     assert not report.passed
@@ -125,7 +124,7 @@ def test_failures_carry_params_and_sides():
 def test_raising_checker_becomes_one_failure(points, params):
     def checker(grid):
         for n in range(points):
-            yield ({"n": n}, n, n)
+            yield Block({"n": n}, (), [n], [n])
         raise ZeroDivisionError("forced")
 
     report = run_identity(IdentitySpec("raises", "-", "-", {}, checker))
@@ -137,7 +136,7 @@ def test_raising_checker_becomes_one_failure(points, params):
 
 def test_interrupt_in_checker_is_not_swallowed():
     def checker(grid):
-        yield ({"n": 0}, 0, 0)
+        yield Block({"n": 0}, (), [0], [0])
         raise KeyboardInterrupt
 
     with pytest.raises(KeyboardInterrupt):
@@ -286,7 +285,7 @@ def test_block_mismatch_in_its_last_element_is_reported():
 
 def test_checker_raising_after_a_block_records_its_last_point():
     def checker(grid):
-        yield ({"n": 6}, 0, 0)
+        yield Block({"n": 6}, (), [0], [0])
         yield Block({"n": 7, "k": range(4)}, ("k",), [0] * 4, [0] * 4)
         yield Block({"n": 8, "k": range(0)}, ("k",), [], [])
         raise ZeroDivisionError("forced")
@@ -360,35 +359,25 @@ def test_binomial_weighting_spot_values():
     assert lhs2 == 15
 
 
-# Gaussian integers
+# p_m(i)^n, the right sides of the parity sums (ID5)
 
 
-def test_gaussian_pow_trinomial():
-    assert gaussian_pow(2, 2) == GaussianInt(-1, 0)
-
-
-def test_gaussian_pow_binomial():
-    assert gaussian_pow(1, 2) == GaussianInt(0, 2)
-
-
-def test_gaussian_pow_identity():
-    assert gaussian_pow(3, 0) == GaussianInt(1, 0)
-
-
-def test_gaussian_arithmetic():
-    i = GaussianInt(0, 1)
-    assert i * i == GaussianInt(-1, 0)
-    assert (GaussianInt(1, 1) + GaussianInt(2, -3)) == GaussianInt(3, -2)
-    assert GaussianInt(1, 1) ** 4 == GaussianInt(-4, 0)
+def test_p_m_at_i_spot_values():
+    assert _p_m_at_i(2, 2) == (-1, 0)  # (1 + i - 1)^2 = i^2
+    assert _p_m_at_i(1, 2) == (0, 2)  # (1 + i)^2 = 2i
+    assert _p_m_at_i(1, 4) == (-4, 0)
+    assert _p_m_at_i(3, 0) == (1, 0)
+    for m in range(1, 9):
+        for n in range(7):
+            z = sum(1j ** j for j in range(m + 1)) ** n
+            assert _p_m_at_i(m, n) == (round(z.real), round(z.imag)), (m, n)
 
 
 def test_parity_sums_closed_forms():
     # m = 0 (mod 4): even sum 1, odd sum 0; m = 3 (mod 4): both vanish
     for n in range(1, 9):
-        g4 = gaussian_pow(4, n)
-        assert (g4.re, g4.im) == (1, 0)
-        g3 = gaussian_pow(3, n)
-        assert (g3.re, g3.im) == (0, 0)
+        assert _p_m_at_i(4, n) == (1, 0)
+        assert _p_m_at_i(3, n) == (0, 0)
 
 
 # mutation smoke tests: a single wrong sign or bound must surface failures
@@ -397,24 +386,30 @@ def test_parity_sums_closed_forms():
 def _mutated_symmetry(grid):
     for m in grid["m"]:
         for n in grid["n"]:
-            for k in range(0, m * n + 6):
-                yield ({"m": m, "n": n, "k": k}, coeff(n, k, m), coeff(n, m * n - k + 1, m))
+            ks = range(0, m * n + 6)
+            lhs = [coeff(n, k, m) for k in ks]
+            rhs = [coeff(n, m * n - k + 1, m) for k in ks]
+            yield Block({"m": m, "n": n, "k": ks}, ("k",), lhs, rhs)
 
 
 def _mutated_alternating_diagonal(grid):
     for m in grid["m"]:
-        for n in grid["n"]:
-            lhs = sum((-1) ** (n - k) * coeff(n - k, k, m) for k in range(n + 1))
-            yield ({"m": m, "n": n}, lhs, chi(m, n))  # chi of the wrong degree
+        ns = grid["n"]
+        lhs = [
+            sum((-1) ** (n - k) * coeff(n - k, k, m) for k in range(n + 1)) for n in ns
+        ]
+        rhs = [chi(m, n) for n in ns]  # chi of the wrong degree
+        yield Block({"m": m, "n": ns}, ("n",), lhs, rhs)
 
 
 def _mutated_addition(grid):
     for m in grid["m"]:
         for n in grid["n"]:
-            for k in range(0, (m * n if n >= 0 else m * -n) + 6):
-                lhs = coeff(n, k, m)
-                rhs = sum(coeff(n - 1, k - i, m) for i in range(m))  # bound off by one
-                yield ({"m": m, "n": n, "k": k}, lhs, rhs)
+            ks = range(0, (m * n if n >= 0 else m * -n) + 6)
+            lhs = [coeff(n, k, m) for k in ks]
+            # bound off by one
+            rhs = [sum(coeff(n - 1, k - i, m) for i in range(m)) for k in ks]
+            yield Block({"m": m, "n": n, "k": ks}, ("k",), lhs, rhs)
 
 
 @pytest.mark.parametrize(
@@ -426,3 +421,7 @@ def test_mutated_checkers_produce_counterexamples(checker):
     grid = {"m": range(1, 4), "n": range(0, 5)}
     report = run_identity(IdentitySpec("mutant", "-", "-", grid, checker))
     assert report.failures, "a broken checker must be caught by the report"
+    # caught as counterexamples, not as a checker that raised
+    assert report.checked > 0
+    for failure in report.failures:
+        assert "error" not in failure and {"lhs", "rhs"} <= set(failure), failure

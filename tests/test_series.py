@@ -10,116 +10,120 @@ from polycoeffs.errors import NonzeroInnerConstant, ZeroConstantTerm
 from polycoeffs.series import (
     IntPolynomial,
     TruncatedSeries,
-    from_poly,
     power,
     solve_carlitz_y,
 )
 
 
+# a polynomial embedded as a series, TruncatedSeries(coeffs, order); the
+# from_poly alias that these tests are named after is folded into it
+
+
 def test_from_poly_pads_to_order():
-    s = from_poly([1, 1, 1], 5)
+    s = TruncatedSeries([1, 1, 1], 5)
     assert s.coeffs == (1, 1, 1, 0, 0, 0)
     assert s.order == 5
 
 
 def test_from_poly_constant():
-    assert from_poly([1], 3).coeffs == (1, 0, 0, 0)
+    assert TruncatedSeries([1], 3).coeffs == (1, 0, 0, 0)
 
 
 def test_from_poly_truncates():
-    assert from_poly([1, 1, 1, 1], 2).coeffs == (1, 1, 1)
+    assert TruncatedSeries([1, 1, 1, 1], 2).coeffs == (1, 1, 1)
 
 
 def test_mul_square_of_trinomial():
-    s = from_poly([1, 1, 1], 4)
+    s = TruncatedSeries([1, 1, 1], 4)
     assert (s * s).coeffs == (1, 2, 3, 2, 1)
 
 
 def test_mul_by_one_is_identity():
-    a = from_poly([3, -1, 7], 4)
-    assert a * from_poly([1], 4) == a
+    a = TruncatedSeries([3, -1, 7], 4)
+    assert a * TruncatedSeries([1], 4) == a
 
 
 def test_mul_difference_of_squares():
-    assert (from_poly([1, 1], 2) * from_poly([1, -1], 2)).coeffs == (1, 0, -1)
+    product = TruncatedSeries([1, 1], 2) * TruncatedSeries([1, -1], 2)
+    assert product.coeffs == (1, 0, -1)
 
 
 def test_mul_truncates_to_min_order():
-    a = from_poly([1, 1], 5)
-    b = from_poly([1, 1], 2)
+    a = TruncatedSeries([1, 1], 5)
+    b = TruncatedSeries([1, 1], 2)
     assert (a * b).order == 2
 
 
 def test_inverse_of_quadrinomial_is_periodic():
-    inv = from_poly([1, 1, 1, 1], 9).inverse()
+    inv = TruncatedSeries([1, 1, 1, 1], 9).inverse()
     assert inv.coeffs == (1, -1, 0, 0, 1, -1, 0, 0, 1, -1)
 
 
 def test_inverse_of_one():
-    assert from_poly([1], 4).inverse().coeffs == (1, 0, 0, 0, 0)
+    assert TruncatedSeries([1], 4).inverse().coeffs == (1, 0, 0, 0, 0)
 
 
 def test_inverse_geometric():
-    assert from_poly([1, 1], 4).inverse().coeffs == (1, -1, 1, -1, 1)
+    assert TruncatedSeries([1, 1], 4).inverse().coeffs == (1, -1, 1, -1, 1)
 
 
 def test_inverse_requires_unit():
     with pytest.raises(ZeroConstantTerm):
-        from_poly([0, 1], 3).inverse()
+        TruncatedSeries([0, 1], 3).inverse()
 
 
 def test_pow_positive():
-    s = from_poly([1, 1, 1, 1], 9)
+    s = TruncatedSeries([1, 1, 1, 1], 9)
     assert (s ** 3).coeffs == (1, 3, 6, 10, 12, 12, 10, 6, 3, 1)
 
 
 def test_pow_negative():
-    s = from_poly([1, 1, 1, 1], 9)
+    s = TruncatedSeries([1, 1, 1, 1], 9)
     assert (s ** -2).coeffs == (1, -2, 1, 0, 2, -4, 2, 0, 3, -6)
 
 
 def test_pow_zero_is_one():
-    s = from_poly([5, 2, 8], 4)
+    s = TruncatedSeries([5, 2, 8], 4)
     assert (s ** 0).coeffs == (1, 0, 0, 0, 0)
 
 
 def test_pow_negative_requires_unit():
     with pytest.raises(ZeroConstantTerm):
-        from_poly([0, 1], 3) ** -1
+        TruncatedSeries([0, 1], 3) ** -1
 
 
 def test_derivative():
-    assert from_poly([1, 1, 1], 2).derivative().coeffs == (1, 2)
-    assert from_poly([7], 0).derivative().coeffs == (0,)
-    assert from_poly([1, 1, 1, 1], 3).derivative().coeffs == (1, 2, 3)
+    assert TruncatedSeries([1, 1, 1], 2).derivative().coeffs == (1, 2)
+    assert TruncatedSeries([7], 0).derivative().coeffs == (0,)
+    assert TruncatedSeries([1, 1, 1, 1], 3).derivative().coeffs == (1, 2, 3)
 
 
 def test_compose_square_substitution():
-    outer = from_poly([1, 1, 1], 4)
-    inner = from_poly([0, 0, 1], 4)
+    outer = TruncatedSeries([1, 1, 1], 4)
+    inner = TruncatedSeries([0, 0, 1], 4)
     assert outer.compose(inner).coeffs == (1, 0, 1, 0, 1)
 
 
 def test_compose_with_zero_gives_constant():
-    outer = from_poly([9, 4, 4], 5)
-    zero = from_poly([0], 5)
+    outer = TruncatedSeries([9, 4, 4], 5)
+    zero = TruncatedSeries([0], 5)
     assert outer.compose(zero).coeffs == (9, 0, 0, 0, 0, 0)
 
 
 def test_compose_linear():
-    outer = from_poly([1, 1], 2)
-    inner = from_poly([0, 1, 1], 2)
+    outer = TruncatedSeries([1, 1], 2)
+    inner = TruncatedSeries([0, 1, 1], 2)
     assert outer.compose(inner).coeffs == (1, 1, 1)
 
 
 def test_compose_rejects_nonzero_constant():
     with pytest.raises(NonzeroInnerConstant):
-        from_poly([1, 1], 3).compose(from_poly([1, 1], 3))
+        TruncatedSeries([1, 1], 3).compose(TruncatedSeries([1, 1], 3))
 
 
 def test_getitem_beyond_order_raises():
     with pytest.raises(IndexError):
-        from_poly([1, 1], 1)[2]
+        TruncatedSeries([1, 1], 1)[2]
 
 
 small_int_series = st.builds(

@@ -160,9 +160,11 @@ def test_integral_grid_is_bit_identical_to_per_k_quadrature():
     # sharing the samples over k keeps every product and the summation order
     points = list(_integral_points())
     assert len(points) == 238
-    for params, passed, computed, expected in points:
-        assert passed
-        assert computed == _integral_reference(params["n"], params["k"], params["m"])
+    for params, check in points:
+        assert check.passed
+        assert check.computed == _integral_reference(
+            params["n"], params["k"], params["m"]
+        )
     for n, k, m, panels in [(3, 4, 3, 8), (5, 1, 2, 3), (0, 2, 1, 8)]:
         check = integral_coeff(n, k, m, panels=panels)
         assert check.computed == _integral_reference(n, k, m, panels)
@@ -193,10 +195,17 @@ def test_numeric_binomial_domain():
 
 
 def test_numeric_check_invariant():
-    good = NumericCheck.from_values("x", 1.0, 1.0 + 5e-9, 1e-8)
+    good = NumericCheck("x", 1.0, 1.0 + 5e-9, 1e-8)
     assert good.passed
-    bad = NumericCheck.from_values("x", 1.0, 1.1, 1e-8)
+    bad = NumericCheck("x", 1.0, 1.1, 1e-8)
     assert not bad.passed
+    # the verdict follows from the numbers and cannot be set beside them
+    with pytest.raises(TypeError):
+        NumericCheck("x", 1.0, 1.1, 1e-8, True)
+    # Fractions at tolerance 0 compare exactly
+    assert NumericCheck("x", Fraction(1, 3), Fraction(2, 6), 0).passed
+    tiny = Fraction(1, 10**30)
+    assert not NumericCheck("x", Fraction(1, 3), Fraction(1, 3) + tiny, 0).passed
 
 
 def test_verification_suite_runs_everything():
@@ -204,6 +213,19 @@ def test_verification_suite_runs_everything():
     assert tuple(r.id for r in reports) == NUMERIC_CHECK_IDS
     for report in reports:
         assert report.passed, (report.id, report.failures[:2])
+
+
+# the same at every profile: the numeric grids do not scale
+NUMERIC_CHECKED = {
+    "ID11": 42, "ID12": 54, "ID13": 66, "ID14": 2, "ID15": 12, "INTEGRAL": 238,
+    "T2-vi-numeric": 4,
+}
+
+
+def test_numeric_checked_counts_are_pinned():
+    reports = verification_suite()
+    assert {r.id: r.checked for r in reports} == NUMERIC_CHECKED
+    assert sum(r.checked for r in reports) == 418
 
 
 def test_verification_suite_single_selection():
