@@ -362,11 +362,21 @@ def test_binomial_weighting_spot_values():
 # p_m(i)^n, the right sides of the parity sums (ID5)
 
 
-def test_p_m_at_i_spot_values():
+def test_gaussian_pow_trinomial():
     assert _p_m_at_i(2, 2) == (-1, 0)  # (1 + i - 1)^2 = i^2
+
+
+def test_gaussian_pow_binomial():
     assert _p_m_at_i(1, 2) == (0, 2)  # (1 + i)^2 = 2i
-    assert _p_m_at_i(1, 4) == (-4, 0)
+
+
+def test_gaussian_pow_identity():
     assert _p_m_at_i(3, 0) == (1, 0)
+
+
+def test_gaussian_arithmetic():
+    assert _p_m_at_i(1, 1) == (1, 1)
+    assert _p_m_at_i(1, 4) == (-4, 0)  # (1 + i)^4
     for m in range(1, 9):
         for n in range(7):
             z = sum(1j ** j for j in range(m + 1)) ** n
