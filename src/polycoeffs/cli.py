@@ -2,10 +2,10 @@
 functions, and the identity verification suite.
 
 Exit codes: 0 on success, 1 when a verification or self-check fails, 2 on
-usage errors and on ``coeff`` or ``table`` queries past the guard rails
-below.  Every invocation is deterministic; integers are printed in full
-whatever their size, and emitted as decimal strings in JSON so no consumer
-can lose precision.
+usage errors and on ``coeff``, ``table`` or ``genfun`` queries past the
+guard rails below.  Every invocation is deterministic; integers are printed
+in full whatever their size, and emitted as decimal strings in JSON so no
+consumer can lose precision.
 """
 from __future__ import annotations
 
@@ -31,16 +31,28 @@ MAX_ROW_SPAN = 10 ** 5  # |n|*m, which bounds the size of a row's values
 MAX_PREFIX = 10 ** 5  # coefficients computed for one row
 MAX_CELLS = 10 ** 6  # table cells, rows * (kmax + 1)
 
+# Guard rails for genfun.  An expansion of length L multiplies L-term series
+# about m + 1 times over (composing with p_m), so its cost grows like
+# (m+1) * L^2 times the cost of multiplying its values, whose size |n|*m of
+# the farthest row it reaches bounds.
+MAX_GENFUN_SPAN = 20_000  # |n|*m of the farthest row
+MAX_GENFUN_TERMS = 1_200  # (m+1) * L
+
+
+def _check_limits(*limits) -> None:
+    """Raise ``TooLarge`` for the first ``(what, value, bound)`` past its bound."""
+    for what, value, bound in limits:
+        if value > bound:
+            raise TooLarge(f"{what} is {value}, over the bound of {bound}")
+
 
 def _check_bounds(n_far: int, m: int, prefix: int, cells: int = 1) -> None:
     """Raise ``TooLarge`` for a query past one of the guard rails."""
-    for what, value, bound in (
+    _check_limits(
         ("|n|*m", n_far * m, MAX_ROW_SPAN),
         ("the row prefix length", prefix, MAX_PREFIX),
         ("the table cell count", cells, MAX_CELLS),
-    ):
-        if value > bound:
-            raise TooLarge(f"{what} is {value}, over the bound of {bound}")
+    )
 
 
 def _refuse_too_large(command):
@@ -194,6 +206,7 @@ def _emit_series(coeffs, fmt, meta):
 @click.option("--terms", type=int, default=10, show_default=True,
               help="Number of series coefficients to print.")
 @click.option("--format", "fmt", type=FORMATS, default="plain", show_default=True)
+@_refuse_too_large
 def cmd_genfun(kind, m, k, a, b, terms, fmt):
     """Expand a generating function (column series, diagonal series, or the
     column polynomial) with exact coefficients."""
@@ -204,6 +217,18 @@ def cmd_genfun(kind, m, k, a, b, terms, fmt):
         raise click.UsageError("carlitz needs both -a and -b")
     if kind != "pk" and terms < 1:
         raise click.BadParameter("terms must be at least 1", param_hint="--terms")
+    # P_k reaches row k; a column series, rows 0..terms-1 at column k; the
+    # diagonal, rows a + b*j for j < terms
+    if kind == "pk":
+        n_far, length = k, k + 1
+    elif kind == "carlitz":
+        n_far, length = abs(a) + abs(b) * (terms - 1), terms
+    else:
+        n_far, length = terms - 1, max(terms, k + 1)
+    _check_limits(
+        ("|n|*m", n_far * m, MAX_GENFUN_SPAN),
+        ("(m+1) times the expansion length", (m + 1) * length, MAX_GENFUN_TERMS),
+    )
     try:
         if kind == "pk":
             poly = pk_by_recurrence(m, k)
@@ -220,9 +245,23 @@ def cmd_genfun(kind, m, k, a, b, terms, fmt):
             series = column_gf(k, m, sign, terms - 1).series
             meta = {"kind": kind, "k": k, "m": m}
     except MismatchError as exc:
-        click.echo(f"self-check failed: {exc}", err=True)
+        click.echo(_mismatch_text(exc, fmt), err=True)
         sys.exit(1)
     _emit_series(series.coeffs, fmt, meta)
+
+
+def _mismatch_text(exc: MismatchError, fmt: str) -> str:
+    # JSON carries the error's context, its values as strings like every
+    # value the CLI prints
+    message = f"self-check failed: {exc}"
+    if fmt != "json":
+        return message
+    return json.dumps({
+        "error": message,
+        "params": exc.params,
+        "computed": None if exc.computed is None else str(exc.computed),
+        "expected": None if exc.expected is None else str(exc.expected),
+    })
 
 
 def _emit_reports(reports, fmt):

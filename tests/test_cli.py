@@ -243,6 +243,20 @@ def test_verify_all_quick_json(runner):
     assert {e["id"] for e in payload} >= {"T2-i", "ID10", "ID14", "INTEGRAL"}
 
 
+def test_verify_all_deep_json_passes_the_benchmark_check(runner):
+    # the same check as perfbench/run.py's check_verify on its verify-deep run
+    from polycoeffs.trinomial import NUMERIC_CHECK_IDS
+
+    result = invoke(runner, "verify", "all", "--profile", "deep", "--format", "json")
+    assert result.exit_code == 0
+    payload = json.loads(result.stdout)
+    assert len(payload) == 26
+    assert [e["id"] for e in payload if e["failures"]] == []
+    exact = sum(e["checked"] for e in payload if e["id"] not in NUMERIC_CHECK_IDS)
+    numeric = sum(e["checked"] for e in payload if e["id"] in NUMERIC_CHECK_IDS)
+    assert (exact, numeric) == (771_690, 418)
+
+
 def test_verify_unknown_selector(runner):
     result = invoke(runner, "verify", "NOPE")
     assert result.exit_code == 2
@@ -320,12 +334,95 @@ def test_genfun_self_check_trip_exits_one(runner, monkeypatch):
     from polycoeffs import cli as cli_module
     from polycoeffs.errors import MismatchError
 
+    context = {"params": {"a": 0, "j": 3}, "computed": 10 ** 30, "expected": -7}
+
     def explode(a, b, m, order):
-        raise MismatchError("forced")
+        raise MismatchError("forced", **context)
 
     monkeypatch.setattr(cli_module, "carlitz_gf", explode)
-    result = invoke(runner, "genfun", "carlitz", "-a", "0", "-b", "1", "-m", "2")
-    assert result.exit_code == 1
+    args = ("genfun", "carlitz", "-a", "0", "-b", "1", "-m", "2")
+    for fmt in ("plain", "csv"):
+        result = invoke(runner, *args, "--format", fmt)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == "self-check failed: forced\n"
+    for written in (
+        {"params": {"a": 0, "j": 3}, "computed": str(10 ** 30), "expected": "-7"},
+        {"params": None, "computed": None, "expected": None},
+    ):
+        result = invoke(runner, *args, "--format", "json")
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert json.loads(result.stderr) == {"error": "self-check failed: forced",
+                                             **written}
+        context.clear()  # the second error carries no context
+
+
+def _forbid_expanding(monkeypatch):
+    def expanded(*args):
+        raise AssertionError("the guard ran after expanding")
+
+    for name in ("carlitz_gf", "column_gf", "pk_by_recurrence"):
+        monkeypatch.setattr(cli_module, name, expanded)
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        # the diagonal reaches row |a| + |b|*(terms-1): 234 + 33*599 here
+        pytest.param(("carlitz", "-a", "-234", "-b", "-33", "-m", "1", "--terms", "600"),
+                     "|n|*m is 20001", id="carlitz-span"),
+        pytest.param(("carlitz", "-a", "20001", "-b", "0", "-m", "1", "--terms", "1"),
+                     "|n|*m is 20001", id="carlitz-span-a"),
+        pytest.param(("carlitz", "-a", "0", "-b", "1", "-m", "2", "--terms", "401"),
+                     "(m+1) times the expansion length is 1203", id="carlitz-terms"),
+        pytest.param(("carlitz", "-a", "0", "-b", "0", "-m", "1200", "--terms", "1"),
+                     "(m+1) times the expansion length is 1201", id="carlitz-degree"),
+        pytest.param(("carlitz", "-a", "0", "-b", "1", "-m", "2", "--terms", "10000000"),
+                     "|n|*m is 19999998", id="carlitz-runaway-terms"),
+        pytest.param(("column+", "-k", "0", "-m", "1", "--terms", "601"),
+                     "(m+1) times the expansion length is 1202", id="column-terms"),
+        pytest.param(("column-", "-k", "600", "-m", "1", "--terms", "5"),
+                     "(m+1) times the expansion length is 1202", id="column-k"),
+        pytest.param(("pk", "-m", "2", "-k", "400"),
+                     "(m+1) times the expansion length is 1203", id="pk-k"),
+    ],
+)
+def test_genfun_guard_rails_refuse_before_expanding(runner, monkeypatch, args, message):
+    _forbid_expanding(monkeypatch)
+    result = invoke(runner, "genfun", *args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+    assert message in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("carlitz", "-a", "-233", "-b", "-33", "-m", "1", "--terms", "600"),
+        ("carlitz", "-a", "20000", "-b", "0", "-m", "1", "--terms", "1"),
+        ("carlitz", "-a", "0", "-b", "1", "-m", "2", "--terms", "400"),
+        ("carlitz", "-a", "0", "-b", "0", "-m", "1199", "--terms", "1"),
+        ("column+", "-k", "0", "-m", "1", "--terms", "600"),
+        ("column-", "-k", "599", "-m", "1", "--terms", "5"),
+        ("pk", "-m", "2", "-k", "399"),
+    ],
+)
+def test_genfun_guard_rails_admit_expansions_at_the_bounds(runner, monkeypatch, args):
+    from types import SimpleNamespace
+
+    from polycoeffs.series import IntPolynomial, TruncatedSeries
+
+    def zeros(order):
+        return TruncatedSeries([0] * (order + 1))
+
+    monkeypatch.setattr(cli_module, "carlitz_gf", lambda a, b, m, order: zeros(order))
+    monkeypatch.setattr(cli_module, "column_gf",
+                        lambda k, m, sign, order: SimpleNamespace(series=zeros(order)))
+    monkeypatch.setattr(cli_module, "pk_by_recurrence", lambda m, k: IntPolynomial([1]))
+    result = invoke(runner, "genfun", *args, "--format", "csv")
+    assert result.exit_code == 0, result.output
 
 
 def test_verify_numeric_entry_csv(runner):

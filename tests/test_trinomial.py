@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from polycoeffs import trinomial
 from polycoeffs.coefficients import coeff
 from polycoeffs.errors import DomainError, NegativeN, TooLarge
 from polycoeffs.trinomial import (
@@ -108,6 +109,38 @@ def test_brafman_cesaro_is_informational():
     check = brafman_partial(1, 30000)
     assert "cesaro" in check.description
     assert abs(check.computed - check.expected) < 1e-3
+
+
+# the floats brafman_partial returned when it summed its own loop; reading
+# the shared partial-sum generator must not move them by one bit
+@pytest.mark.parametrize(
+    "args,computed",
+    [
+        ((2, 100_000, 1e-3), 0.08957033898934413),
+        ((3, 5_000), 0.00041467749525245007),
+        ((2, 2_000, 1e-2), 0.08957037592834824),
+        ((1, 30_000), 1.2092065483643226),
+    ],
+)
+def test_brafman_partial_values_are_pinned(args, computed):
+    assert brafman_partial(*args).computed == computed
+
+
+def test_id14_catches_a_closed_form_off_by_one_part_in_a_million(monkeypatch):
+    exact = trinomial._brafman_closed_form
+    monkeypatch.setattr(
+        trinomial, "_brafman_closed_form", lambda n: exact(n) * (1 + 1e-6)
+    )
+    (report,) = verification_suite(only="ID14")
+    assert report.grid == (
+        "mean of the last 6 partial sums: n=2 (2400 terms, tol=1e-9), "
+        "n=3 (600 terms, tol=1e-12)"
+    )
+    assert report.checked == 2
+    assert [f["params"]["n"] for f in report.failures] == [2, 3]
+    # the former registry check, raw partial sums at 1e-3 and 1e-6, passes
+    assert brafman_partial(2, 100_000, 1e-3).passed
+    assert brafman_partial(3, 5_000, 1e-6).passed
 
 
 def test_brafman_validation():
