@@ -31,12 +31,13 @@ MAX_ROW_SPAN = 10 ** 5  # |n|*m, which bounds the size of a row's values
 MAX_PREFIX = 10 ** 5  # coefficients computed for one row
 MAX_CELLS = 10 ** 6  # table cells, rows * (kmax + 1)
 
-# Guard rails for genfun.  An expansion of length L multiplies L-term series
-# about m + 1 times over (composing with p_m), so its cost grows like
-# (m+1) * L^2 times the cost of multiplying its values, whose size |n|*m of
-# the farthest row it reaches bounds.
-MAX_GENFUN_SPAN = 20_000  # |n|*m of the farthest row
-MAX_GENFUN_TERMS = 1_200  # (m+1) * L
+# Guard rails for genfun, one set per kind, on what its cost grows with.  The
+# diagonal composes terms-long series with p_m, m + 1 Horner steps of series
+# products whose values the farthest row's |n|*m bounds.  P_k takes k steps,
+# each a product with the (m+2)-term kernel x(1-x)^m.  A column series adds
+# to P_k a few terms-long products and a direct coefficient per term.
+MAX_GENFUN_SPAN = 20_000  # |n|*m of the diagonal's farthest row
+MAX_GENFUN_TERMS = 1_200  # (m+1)*terms (carlitz), (m+1)*(k+1) and terms (columns)
 
 
 def _check_limits(*limits) -> None:
@@ -217,18 +218,17 @@ def cmd_genfun(kind, m, k, a, b, terms, fmt):
         raise click.UsageError("carlitz needs both -a and -b")
     if kind != "pk" and terms < 1:
         raise click.BadParameter("terms must be at least 1", param_hint="--terms")
-    # P_k reaches row k; a column series, rows 0..terms-1 at column k; the
-    # diagonal, rows a + b*j for j < terms
-    if kind == "pk":
-        n_far, length = k, k + 1
-    elif kind == "carlitz":
-        n_far, length = abs(a) + abs(b) * (terms - 1), terms
+    if kind == "carlitz":
+        # the diagonal reaches rows a + b*j for j < terms
+        span = (abs(a) + abs(b) * (terms - 1)) * m
+        _check_limits(("|n|*m", span, MAX_GENFUN_SPAN),
+                      ("(m+1)*terms", (m + 1) * terms, MAX_GENFUN_TERMS))
     else:
-        n_far, length = terms - 1, max(terms, k + 1)
-    _check_limits(
-        ("|n|*m", n_far * m, MAX_GENFUN_SPAN),
-        ("(m+1) times the expansion length", (m + 1) * length, MAX_GENFUN_TERMS),
-    )
+        # P_k, and for a column series its expansion to --terms
+        limits = [("(m+1)*(k+1)", (m + 1) * (k + 1), MAX_GENFUN_TERMS)]
+        if kind != "pk":
+            limits.append(("--terms", terms, MAX_GENFUN_TERMS))
+        _check_limits(*limits)
     try:
         if kind == "pk":
             poly = pk_by_recurrence(m, k)

@@ -375,17 +375,21 @@ def _forbid_expanding(monkeypatch):
         pytest.param(("carlitz", "-a", "20001", "-b", "0", "-m", "1", "--terms", "1"),
                      "|n|*m is 20001", id="carlitz-span-a"),
         pytest.param(("carlitz", "-a", "0", "-b", "1", "-m", "2", "--terms", "401"),
-                     "(m+1) times the expansion length is 1203", id="carlitz-terms"),
+                     "(m+1)*terms is 1203", id="carlitz-terms"),
         pytest.param(("carlitz", "-a", "0", "-b", "0", "-m", "1200", "--terms", "1"),
-                     "(m+1) times the expansion length is 1201", id="carlitz-degree"),
+                     "(m+1)*terms is 1201", id="carlitz-degree"),
         pytest.param(("carlitz", "-a", "0", "-b", "1", "-m", "2", "--terms", "10000000"),
                      "|n|*m is 19999998", id="carlitz-runaway-terms"),
-        pytest.param(("column+", "-k", "0", "-m", "1", "--terms", "601"),
-                     "(m+1) times the expansion length is 1202", id="column-terms"),
+        pytest.param(("column+", "-k", "0", "-m", "1", "--terms", "1201"),
+                     "--terms is 1201", id="column-terms"),
         pytest.param(("column-", "-k", "600", "-m", "1", "--terms", "5"),
-                     "(m+1) times the expansion length is 1202", id="column-k"),
+                     "(m+1)*(k+1) is 1202", id="column-k"),
+        pytest.param(("column+", "-k", "0", "-m", "1200", "--terms", "1"),
+                     "(m+1)*(k+1) is 1201", id="column-degree"),
         pytest.param(("pk", "-m", "2", "-k", "400"),
-                     "(m+1) times the expansion length is 1203", id="pk-k"),
+                     "(m+1)*(k+1) is 1203", id="pk-k"),
+        pytest.param(("pk", "-m", "1200", "-k", "0"),
+                     "(m+1)*(k+1) is 1201", id="pk-degree"),
     ],
 )
 def test_genfun_guard_rails_refuse_before_expanding(runner, monkeypatch, args, message):
@@ -404,9 +408,14 @@ def test_genfun_guard_rails_refuse_before_expanding(runner, monkeypatch, args, m
         ("carlitz", "-a", "20000", "-b", "0", "-m", "1", "--terms", "1"),
         ("carlitz", "-a", "0", "-b", "1", "-m", "2", "--terms", "400"),
         ("carlitz", "-a", "0", "-b", "0", "-m", "1199", "--terms", "1"),
-        ("column+", "-k", "0", "-m", "1", "--terms", "600"),
-        ("column-", "-k", "599", "-m", "1", "--terms", "5"),
+        ("column+", "-k", "0", "-m", "1", "--terms", "1200"),
+        ("column-", "-k", "599", "-m", "1", "--terms", "1200"),
+        ("column+", "-k", "0", "-m", "1199", "--terms", "1200"),
+        # the two column series of perfbench/run.py's series-genfun
+        ("column+", "-k", "20", "-m", "4", "--terms", "301"),
+        ("column-", "-k", "10", "-m", "3", "--terms", "201"),
         ("pk", "-m", "2", "-k", "399"),
+        ("pk", "-m", "1199", "-k", "0"),
     ],
 )
 def test_genfun_guard_rails_admit_expansions_at_the_bounds(runner, monkeypatch, args):
