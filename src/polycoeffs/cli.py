@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
+import math
 import sys
 
 import click
@@ -30,6 +31,11 @@ FORMATS = click.Choice(["plain", "json", "csv"])
 MAX_ROW_SPAN = 10 ** 5  # |n|*m, which bounds the size of a row's values
 MAX_PREFIX = 10 ** 5  # coefficients computed for one row
 MAX_CELLS = 10 ** 6  # table cells, rows * (kmax + 1)
+# A row prefix costs about its length times its values' bit length in
+# big-integer steps, and printing a value about its bit length squared; at
+# these bounds a query takes about a second.
+MAX_ROW_WORK = 10 ** 9  # prefix length times value bits, summed over rows
+MAX_PRINT_WORK = 5 * 10 ** 11  # values printed times value bits squared
 
 # Guard rails for genfun, one set per kind, on what its cost grows with.  The
 # diagonal composes terms-long series with p_m, m + 1 Horner steps of series
@@ -47,12 +53,32 @@ def _check_limits(*limits) -> None:
             raise TooLarge(f"{what} is {value}, over the bound of {bound}")
 
 
+def _value_bits(n: int, m: int, last: int) -> float:
+    """An upper bound on the bit length of <n,k>_m for 0 <= k <= last:
+    |<n,k>| <= C(|n| + k - 1, k) for n < 0 and <= (m+1)^n for n >= 0."""
+    if n >= 0:
+        return n * math.log2(m + 1) + 1
+    last = max(last, 0)
+    log_binom = math.lgamma(last - n) - math.lgamma(last + 1) - math.lgamma(-n)
+    return log_binom / math.log(2) + 1
+
+
 def _check_bounds(n_far: int, m: int, prefix: int, cells: int = 1) -> None:
     """Raise ``TooLarge`` for a query past one of the guard rails."""
     _check_limits(
         ("|n|*m", n_far * m, MAX_ROW_SPAN),
         ("the row prefix length", prefix, MAX_PREFIX),
         ("the table cell count", cells, MAX_CELLS),
+    )
+
+
+def _check_work(work: float, printing: float) -> None:
+    """Raise ``TooLarge`` for rows too costly to compute or print; checked
+    after ``_check_bounds``, whose bounds keep ``_value_bits`` finite."""
+    _check_limits(
+        ("prefix length times value bits", math.ceil(work), MAX_ROW_WORK),
+        ("values printed times value bits squared", math.ceil(printing),
+         MAX_PRINT_WORK),
     )
 
 
@@ -123,7 +149,10 @@ def cli(ctx):
 def cmd_coeff(n, k, m, fmt):
     """Print one coefficient exactly."""
     # for n >= 0, coeff reads <n,k> from the shorter side of the row
-    _check_bounds(abs(n), m, k + 1 if n < 0 else min(k, m * n - k) + 1)
+    prefix = k + 1 if n < 0 else min(k, m * n - k) + 1
+    _check_bounds(abs(n), m, prefix)
+    bits = _value_bits(n, m, k)
+    _check_work(prefix * bits, bits * bits)
     value = coeff(n, k, m)
     if fmt == "json":
         click.echo(json.dumps({"n": n, "k": k, "m": m, "value": str(value)}))
@@ -146,9 +175,22 @@ def cmd_table(m, rows, kmax, fmt):
     if kmax < 0:
         raise click.BadParameter("kmax must be non-negative", param_hint="--kmax")
     lo, hi = rows
-    # row n computes kmax + 1 terms when n < 0, min(kmax, mn) + 1 otherwise
-    prefix = max(kmax + 1 if n < 0 else min(kmax, m * n) + 1 for n in rows)
-    _check_bounds(max(abs(lo), abs(hi)), m, prefix, (hi - lo + 1) * (kmax + 1))
+    # row n computes and prints kmax + 1 terms when n < 0, min(kmax, mn) + 1
+    # otherwise
+    prefix = {n: kmax + 1 if n < 0 else min(kmax, m * n) + 1 for n in rows}
+    cells = (hi - lo + 1) * (kmax + 1)
+    _check_bounds(max(abs(lo), abs(hi)), m, max(prefix.values()), cells)
+    # rows of one sign cost the most at the end farthest from 0
+    negative = max(min(hi, -1) - lo + 1, 0)
+    ends = [
+        (count, prefix[n], _value_bits(n, m, kmax))
+        for n, count in ((lo, negative), (hi, hi - lo + 1 - negative))
+        if count
+    ]
+    _check_work(
+        sum(count * length * bits for count, length, bits in ends),
+        sum(count * length * bits * bits for count, length, bits in ends),
+    )
     table = [(n, row(n, m, kmax)) for n in range(lo, hi + 1)]
     if fmt == "json":
         payload = {

@@ -7,7 +7,7 @@ whole grid.
 
 Every checker yields ``Block``s, one per row, convolution or degree: the
 fixed parameters, the swept ones as sequences, and both sides as two
-equal-length lists.  ``run_identity`` compares the two lists at once and
+equal-length sequences.  ``run_identity`` compares the two sides at once and
 decodes points only on a mismatch, so the deep profile's 771,690 points do
 not each cost a params dict, a tuple and a comparison.
 
@@ -15,32 +15,47 @@ Grid conventions: degree m starts at 1; row indices run over both signs
 where an identity permits them; column indices sweep the natural support
 plus a margin of out-of-support points so the zero clauses are exercised.
 
-T2-iv and ID6 form their left sides by Kronecker substitution: each row is
-packed into one integer with a slot of ``_width`` bytes per coefficient, and
-one big-integer product gives every convolution sum at once; the product is
-exact because the width keeps every slot's sum strictly inside its signed
-range, so no slot carries into the next.
+T2-iv, ID1 and ID6 form their left sides by Kronecker substitution: each row
+is packed into one integer with a slot of ``_width`` bytes per coefficient,
+and one big-integer product gives every convolution sum at once; the product
+is exact because the width keeps every slot's sum strictly inside its signed
+range, so no slot carries into the next.  Their sides stay packed: a
+``_Packed`` side is one key, the product's slots over the block's window on
+the left and the expected row packed the same way on the right, and the
+block is decoded into lists only when the keys differ.  Equal keys mean
+equal sides: a key holds a side's values as signed digits in base
+2^(8*width), taken modulo a power of the base where the window is masked,
+and a number (or residue) has only one set of digits in the signed range.
+That needs every expected value inside its signed slot, so a row with a
+value outside it gets no key and its blocks are always decoded; such a
+value cannot equal the in-range sum in its slot, so decoding reports it.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Collection, Iterator, Mapping
 
 from .coefficients import binom, chi, coeff, multinomial_oracle, row
 from .genfun import pk_by_recurrence
 
 class Block:
     """Grid points sharing ``params``: each key in ``swept`` maps to a
-    sequence of values, the last key varying fastest, and ``lhs[i]``,
-    ``rhs[i]`` are the two sides at point ``i`` of that sweep."""
+    sequence of values, the last key varying fastest, and ``lhs``, ``rhs``
+    give the two sides point by point over that sweep, as lists or as
+    ``_Packed`` sides that build their lists when iterated."""
 
     __slots__ = ("params", "swept", "lhs", "rhs")
 
     def __init__(
-        self, params: Mapping[str, Any], swept: tuple[str, ...], lhs: list, rhs: list
+        self,
+        params: Mapping[str, Any],
+        swept: tuple[str, ...],
+        lhs: Collection,
+        rhs: Collection,
     ):
         size = math.prod(len(params[key]) for key in swept)
         if not len(lhs) == len(rhs) == size:
@@ -158,24 +173,47 @@ def _at(values: list[int], k: int) -> int:
     return values[k] if k >= 0 else 0
 
 
+def _entries(values: list[int], ks) -> list[int]:
+    return [_at(values, k) for k in ks]
+
+
 def _width(rows, terms: int) -> int:
     # bytes per slot so that every entry, and every sum of `terms` products of
     # entries, fits strictly inside a signed slot
-    top = max((abs(c) for values in rows for c in values), default=0)
+    top = max((max(map(abs, values), default=0) for values in rows), default=0)
     return (top * top * max(terms, 1)).bit_length() // 8 + 1
 
 
+def _slot_bias(width: int, count: int) -> int:
+    # half a slot in each of `count` slots
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+
 def _pack(values: list[int], width: int) -> int:
-    """sum_i values[i] * 2^(8*width*i), for signed values."""
-    positive = b"".join(max(c, 0).to_bytes(width, "little") for c in values)
-    negative = b"".join(max(-c, 0).to_bytes(width, "little") for c in values)
-    return int.from_bytes(positive, "little") - int.from_bytes(negative, "little")
+    """sum_i values[i] * 2^(8*width*i); raises OverflowError unless every
+    value fits a signed slot, -2^(8*width-1) <= value < 2^(8*width-1)."""
+    half = 1 << (8 * width - 1)
+    data = b"".join([(c + half).to_bytes(width, "little") for c in values])
+    return int.from_bytes(data, "little") - _slot_bias(width, len(values))
+
+
+def _key(values: list[int], width: int) -> int | None:
+    """The packed values, or None when one does not fit a signed slot."""
+    try:
+        return _pack(values, width)
+    except OverflowError:
+        return None
+
+
+def _mask(width: int, count: int) -> int:
+    """The low ``count`` slots: ``packed & mask`` reads a packed integer
+    modulo 2^(8*width*count)."""
+    return (1 << (8 * width * count)) - 1
 
 
 def _unpack(packed: int, width: int, count: int) -> list[int]:
     """The first ``count`` signed slots of a packed integer."""
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
-    data = ((packed + bias) & ((1 << (8 * width * count)) - 1)).to_bytes(
+    data = ((packed + _slot_bias(width, count)) & _mask(width, count)).to_bytes(
         width * count, "little"
     )
     half = 1 << (8 * width - 1)
@@ -185,11 +223,56 @@ def _unpack(packed: int, width: int, count: int) -> list[int]:
     ]
 
 
+def _product_entries(packed: int, width: int, ks: range) -> list[int]:
+    """Entries ``ks`` of a packed product, 0 before entry 0."""
+    return _entries(_unpack(packed, width, ks[-1] + 1), ks)
+
+
+class _Packed:
+    """One side of a ``Block`` held as an exact key: ``len`` is its point
+    count, ``==`` compares keys, and iterating builds the side's list.  A key
+    of None equals nothing, so a side whose values do not all fit their
+    slots is always decoded."""
+
+    __slots__ = ("key", "count", "build")
+
+    def __init__(self, key, count: int, build: Callable[[], list]):
+        self.key, self.count, self.build = key, count, build
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _Packed):
+            return NotImplemented
+        return self.key is not None and self.key == other.key
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __iter__(self) -> Iterator:
+        return iter(self.build())
+
+
+def _product_sides(
+    product: int, width: int, values: list[int], packed: int | None, ks: range
+) -> tuple[_Packed, _Packed]:
+    """Sides comparing entries ``ks`` of a packed product with those of
+    ``values``, whose key is ``packed``: both keys are slots 0..ks[-1], as
+    entries before 0 read 0 on both sides."""
+    mask = _mask(width, ks[-1] + 1)
+    lhs = functools.partial(_product_entries, product, width, ks)
+    rhs = functools.partial(_entries, values, ks)
+    return (
+        _Packed(product & mask, len(ks), lhs),
+        _Packed(None if packed is None else packed & mask, len(ks), rhs),
+    )
+
+
 # ---------------------------------------------------------------------------
 # checkers: a Block per swept row, or per degree m for one value per row n
 
 
-def _k_block(m: int, n: int, ks, lhs: list, rhs: list) -> Block:
+def _k_block(m: int, n: int, ks, lhs: Collection, rhs: Collection) -> Block:
     return Block({"m": m, "n": n, "k": ks}, ("k",), lhs, rhs)
 
 
@@ -249,7 +332,7 @@ def _check_vandermonde(grid) -> Iterator[Block]:
         limit = max(_vandermonde_cap(r, s, m) for r, s in pairs)
         rows = {n: row(n, m, limit) for n in indices}
         width = _width((rows[n] for n in factors), limit + 1)
-        packed = {n: _pack(rows[n], width) for n in factors}
+        packed = {n: _key(rows[n], width) for n in indices}
         # (s, r) reads the product of (r, s): the cap is symmetric in r and s
         products: dict = {}
         for r, s in pairs:
@@ -257,19 +340,16 @@ def _check_vandermonde(grid) -> Iterator[Block]:
             product = products.pop((s, r), None)
             if product is None:
                 # a product's slots below kmax + 1 need only its factors' slots there
-                mask = (1 << (8 * width * (kmax + 1))) - 1
-                product = _unpack(
-                    (packed[r] & mask) * (packed[s] & mask), width, kmax + 1
-                )
+                mask = _mask(width, kmax + 1)
+                product = (packed[r] & mask) * (packed[s] & mask)
                 if r != s:
                     products[r, s] = product
-            row_rs = rows[r + s]
             # k = -1 lies before every row, so its sum is empty
+            ks = range(-1, kmax + 1)
             yield Block(
-                {"m": m, "r": r, "s": s, "k": range(-1, kmax + 1)},
+                {"m": m, "r": r, "s": s, "k": ks},
                 ("k",),
-                [0, *product],
-                [_at(row_rs, -1), *row_rs[: kmax + 1]],
+                *_product_sides(product, width, rows[r + s], packed[r + s], ks),
             )
 
 
@@ -280,13 +360,6 @@ def _check_addition(grid) -> Iterator[Block]:
             values, prior = row(n, m, _k_last(n, m)), row(n - 1, m, _k_last(n, m))
             rhs = [sum(_at(prior, k - i) for i in range(m + 1)) for k in ks]
             yield _k_block(m, n, ks, [_at(values, k) for k in ks], rhs)
-
-
-def _bivariate_power(base: dict, exponent: int) -> dict:
-    result = {(0, 0): 1}
-    for _ in range(exponent):
-        result = _bivariate_mul(result, base)
-    return result
 
 
 def _bivariate_mul(a: dict, b: dict) -> dict:
@@ -307,7 +380,10 @@ def _check_binomial_theorem(grid) -> Iterator[Block]:
             [((k, m * n - k), c) for k, c in enumerate(row(n, m, m * n)) if c]
             for n in ns
         ]
-        rhs = [sorted(_bivariate_power(base, n).items()) for n in ns]
+        powers = [{(0, 0): 1}]
+        for _ in range(max(ns, default=0)):
+            powers.append(_bivariate_mul(powers[-1], base))
+        rhs = [sorted(powers[n].items()) for n in ns]
         yield _n_block(m, ns, lhs, rhs)
 
 
@@ -357,14 +433,13 @@ def _check_horizontal(grid) -> Iterator[Block]:
 def _check_chi_convolution(grid) -> Iterator[Block]:
     for m in grid["m"]:
         for n in grid["n"]:
-            ks = _k_values(n, m)
-            values, prior = row(n, m, _k_last(n, m)), row(n - 1, m, _k_last(n, m))
-            weights = [chi(m, j) for j in range(_k_last(n, m) + 1)]
-            lhs = [
-                sum(weights[j] * _at(values, k - j) for j in range(max(k, 0) + 1))
-                for k in ks
-            ]
-            yield _k_block(m, n, ks, lhs, [_at(prior, k) for k in ks])
+            ks, last = _k_values(n, m), _k_last(n, m)
+            values, prior = row(n, m, last), row(n - 1, m, last)
+            weights = [chi(m, j) for j in range(last + 1)]
+            width = _width([weights, values], last + 1)
+            product = _pack(weights, width) * _pack(values, width)
+            sides = _product_sides(product, width, prior, _key(prior, width), ks)
+            yield _k_block(m, n, ks, *sides)
 
 
 def _check_f_numbers_column(grid) -> Iterator[Block]:
@@ -432,40 +507,63 @@ def _check_parity_sums(grid) -> Iterator[Block]:
         yield Block({"m": m, "n": ns, "part": ("even", "odd")}, ("n", "part"), lhs, rhs)
 
 
+def _shifted_lhs(product: int, width: int, ts: range) -> list[int]:
+    entries = _product_entries(product, width, ts)
+    return _interleave(entries, entries)
+
+
+def _shifted_rhs(values: list[int], span: int, ts: range) -> list[int]:
+    return _interleave(_entries(values, ts), _entries(values, [span - t for t in ts]))
+
+
 def _check_shifted_products(grid) -> Iterator[Block]:
-    # entries t < 0 of the product and of row r + s read as 0 from this padding
-    pad = SUPPORT_MARGIN + max(grid["q"])
-    zeros = [0] * pad
+    margin = SUPPORT_MARGIN
     for m in grid["m"]:
-        # the right-hand sides read row r + s out to m(r + s) + SUPPORT_MARGIN + q
+        # the right-hand sides read row r + s out to m(r + s) + margin + q
         rows = [
-            row(n, m, m * n + pad) for n in range(max(grid["r"]) + max(grid["s"]) + 1)
+            row(n, m, m * n + margin + max(grid["q"]))
+            for n in range(max(grid["r"]) + max(grid["s"]) + 1)
         ]
         supports = {n: rows[n][: m * n + 1] for n in {*grid["r"], *grid["s"]}}
         width = _width(supports.values(), m * max(supports) + 1)
         reversed_r = {r: _pack(supports[r][::-1], width) for r in grid["r"]}
         packed_s = {s: _pack(supports[s], width) for s in grid["s"]}
+        # window q reads entries t = -q - margin .. mn - q + margin of row n on
+        # the first side, keyed by the row's slots up to the window's end, and
+        # entries mn - t on the second, keyed by the row reversed from entry
+        # mn + q + margin, whose slot j holds entry mn - t at t = j - q - margin
+        expected = {}
+        for n, values in enumerate(rows):
+            packed = _key(values, width)
+            for q in grid["q"]:
+                reverse = _key(values[m * n + q + margin :: -1], width)
+                expected[n, q] = (
+                    None
+                    if packed is None or reverse is None
+                    else (packed & _mask(width, m * n - q + margin + 1), reverse)
+                )
         for r in grid["r"]:
             for s in grid["s"]:
                 # sum_l <r,q+l><s,k+l> is entry t = m*r - q + k of rev(row r) *
                 # row s, 0 outside 0..span; the second side reads entry span - t
                 span = m * (r + s)
-                product = zeros + _unpack(reversed_r[r] * packed_s[s], width, span + 1)
-                product += zeros
-                row_rs = zeros + rows[r + s]
-                # entry t sits at pad + t, entry span - t at mirror - (pad + t)
-                mirror = 2 * pad + span
-                ks = range(-(m * r + SUPPORT_MARGIN), m * s + SUPPORT_MARGIN + 1)
+                product = reversed_r[r] * packed_s[s]
+                ks = range(-(m * r + margin), m * s + margin + 1)
                 for q in grid["q"]:
-                    low = pad - q - SUPPORT_MARGIN
-                    high = pad + span - q + SUPPORT_MARGIN + 1
-                    lhs = product[low:high]
-                    second = row_rs[mirror - high + 1 : mirror - low + 1][::-1]
+                    ts = range(-q - margin, span - q + margin + 1)
+                    # shifted by q + margin slots, the product lines up with
+                    # the reversed row
+                    key = (
+                        product & _mask(width, ts[-1] + 1),
+                        product << (8 * width * (q + margin)),
+                    )
+                    lhs = functools.partial(_shifted_lhs, product, width, ts)
+                    rhs = functools.partial(_shifted_rhs, rows[r + s], span, ts)
                     yield Block(
                         {"m": m, "r": r, "s": s, "q": q, "k": ks, "side": _SIDES},
                         ("k", "side"),
-                        _interleave(lhs, lhs),
-                        _interleave(row_rs[low:high], second),
+                        _Packed(key, 2 * len(ts), lhs),
+                        _Packed(expected[r + s, q], 2 * len(ts), rhs),
                     )
 
 

@@ -1,4 +1,5 @@
 """End-to-end tests of the command-line interface."""
+import hashlib
 import json
 import math
 import sys
@@ -105,6 +106,26 @@ def _forbid_computing(monkeypatch):
                      "row prefix length is 100001", id="table-prefix-positive-row"),
         pytest.param(("table", "-m", "1", "--rows", "-10..0", "--kmax", "90909"),
                      "table cell count is 1000010", id="table-cells"),
+        pytest.param(("coeff", "-n", "-1" + "0" * 400, "-k", "3", "-m", "1"),
+                     "|n|*m is 1" + "0" * 400, id="coeff-span-past-floats"),
+        # inside the span and prefix bounds, but about 11 s and 1.7 GB; the bit
+        # bounds of n < 0 come from lgamma, so only their leading digits are pinned
+        pytest.param(("coeff", "-n", "-100000", "-k", "99999", "-m", "1"),
+                     "prefix length times value bits is 199989", id="coeff-work"),
+        pytest.param(("coeff", "-n", "-25000", "-k", "25000", "-m", "1"),
+                     "prefix length times value bits is 124984", id="coeff-work-just-past"),
+        pytest.param(("coeff", "-n", "100000", "-k", "50000", "-m", "1"),
+                     "prefix length times value bits is 5000150001", id="coeff-work-positive"),
+        # both signs: 1000 rows costing at most row -1000's, 1001 at most row 1000's
+        pytest.param(("table", "-m", "5", "--rows", "-1000..1000", "--kmax", "400"),
+                     "prefix length times value bits is 152060", id="table-work"),
+        # about 30 s, most of it printing 20,001 values of up to 40,000 bits
+        pytest.param(("table", "-m", "1", "--rows", "-20000..-20000", "--kmax", "20000"),
+                     "values printed times value bits squared is 319888",
+                     id="table-printing"),
+        pytest.param(("table", "-m", "1", "--rows", "9900..9900", "--kmax", "9900"),
+                     "values printed times value bits squared is 970593059701",
+                     id="table-printing-positive-row"),
     ],
 )
 def test_guard_rails_refuse_before_computing(runner, monkeypatch, args, message):
@@ -121,12 +142,17 @@ def test_guard_rails_refuse_before_computing(runner, monkeypatch, args, message)
     "args",
     [
         ("coeff", "-n", "100000", "-k", "0", "-m", "1"),
-        ("coeff", "-n", "-20000", "-k", "99999", "-m", "5"),
-        # n >= 0 reads the shorter side: 50,001 terms for the middle of the row
-        ("coeff", "-n", "100000", "-k", "50000", "-m", "1"),
+        ("coeff", "-n", "-100", "-k", "99999", "-m", "1000"),
+        # n >= 0 reads the shorter side: 11 terms, where 99,991 would cost
+        # about 10^10 bit steps
+        ("coeff", "-n", "100000", "-k", "99990", "-m", "1"),
         ("table", "-m", "1", "--rows", "-1..-1", "--kmax", "99999"),
-        ("table", "-m", "1", "--rows", "99999..99999", "--kmax", "100000"),
+        ("table", "-m", "1000", "--rows", "100..100", "--kmax", "99999"),
         ("table", "-m", "1", "--rows", "-9..0", "--kmax", "99999"),
+        # just inside the work and printing bounds (0.8 s and 0.9 s)
+        ("coeff", "-n", "-22000", "-k", "22000", "-m", "1"),
+        ("table", "-m", "1", "--rows", "-100000..-100000", "--kmax", "2100"),
+        ("table", "-m", "2", "--rows", "-300..300", "--kmax", "600"),
     ],
 )
 def test_guard_rails_admit_queries_at_the_bounds(runner, monkeypatch, args):
@@ -243,6 +269,25 @@ def test_verify_all_quick_json(runner):
     assert {e["id"] for e in payload} >= {"T2-i", "ID10", "ID14", "INTEGRAL"}
 
 
+# sha256 of `verify all` output as the list-comparing checkers wrote it:
+# comparing packed sides must not move a point, its order or a failure
+VERIFY_DIGESTS = {
+    ("quick", "plain"): "bff89bd3989a0dff36d6ebebc5f6284d6b03ef51271eb920a502411659088f61",
+    ("quick", "json"): "102705d5a75f6e5f342a78e4ad2351106de79c8bb657e73bebfdd67d9c65006a",
+    ("quick", "csv"): "d5ee69e9dcdd6818cd035730049aef4b1e40672bbcacfbfca243a6ac46cc523a",
+    ("deep", "json"): "7d5c54818359f3075aeafdead65b032b97d013a34b756c5219fb13b7960c7f9c",
+}
+
+
+# deep JSON is checked by test_verify_all_deep_json_passes_the_benchmark_check
+@pytest.mark.parametrize("profile, fmt", [key for key in VERIFY_DIGESTS if key[0] == "quick"])
+def test_verify_all_output_is_pinned(runner, profile, fmt):
+    result = invoke(runner, "verify", "all", "--profile", profile, "--format", fmt)
+    assert result.exit_code == 0
+    digest = hashlib.sha256(result.stdout.encode()).hexdigest()
+    assert digest == VERIFY_DIGESTS[profile, fmt]
+
+
 def test_verify_all_deep_json_passes_the_benchmark_check(runner):
     # the same check as perfbench/run.py's check_verify on its verify-deep run
     from polycoeffs.trinomial import NUMERIC_CHECK_IDS
@@ -255,6 +300,8 @@ def test_verify_all_deep_json_passes_the_benchmark_check(runner):
     exact = sum(e["checked"] for e in payload if e["id"] not in NUMERIC_CHECK_IDS)
     numeric = sum(e["checked"] for e in payload if e["id"] in NUMERIC_CHECK_IDS)
     assert (exact, numeric) == (771_690, 418)
+    digest = hashlib.sha256(result.stdout.encode()).hexdigest()
+    assert digest == VERIFY_DIGESTS["deep", "json"]
 
 
 def test_verify_unknown_selector(runner):

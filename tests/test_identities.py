@@ -243,6 +243,146 @@ def test_one_wrong_coefficient_reproduces_the_pinned_reports(monkeypatch):
         assert json.dumps(report) == json.dumps(expected), report["id"]
 
 
+# packed sides: a block compares one key per side and is decoded only when
+# the keys differ, so a fault must never leave the keys equal
+
+
+def _skew(monkeypatch, changes):
+    """Route identities.row through ``changes``, {(n, m): {k: delta}}."""
+    exact_row = identities.row
+
+    def skewed_row(n, m, limit):
+        values = exact_row(n, m, limit)
+        for k, delta in changes.get((n, m), {}).items():
+            if k < len(values):
+                values[k] += delta
+        return values
+
+    monkeypatch.setattr(identities, "row", skewed_row)
+    return skewed_row
+
+
+def _widths(monkeypatch, spec):
+    """The slot width each degree m of a clean run of ``spec`` packs with."""
+    seen = []
+    exact_width = identities._width
+
+    def recording_width(rows, terms):
+        seen.append(exact_width(rows, terms))
+        return seen[-1]
+
+    monkeypatch.setattr(identities, "_width", recording_width)
+    assert run_identity(spec).passed
+    monkeypatch.setattr(identities, "_width", exact_width)
+    return dict(zip(spec.grid["m"], seen))
+
+
+def _vandermonde_failures(grid, m, read_row, involved):
+    """Failures of T2-iv at degree m, as a point-by-point list comparison,
+    over the pairs (r, s) with one of r, s, r + s in ``involved``."""
+    failures = []
+    for r in grid["r"]:
+        for s in grid["s"]:
+            if not involved & {r, s, r + s}:
+                continue
+            kmax = identities._vandermonde_cap(r, s, m)
+            product = _schoolbook(read_row(r, m, kmax), read_row(s, m, kmax))
+            expected = read_row(r + s, m, kmax)
+            for k in range(-1, kmax + 1):
+                lhs, rhs = _at(product, k), _at(expected, k)
+                if lhs != rhs:
+                    params = {"m": m, "r": r, "s": s, "k": k}
+                    failures.append({"params": params, "lhs": lhs, "rhs": rhs})
+    return failures
+
+
+def _shifted_product_failures(grid, m, read_row, total):
+    """Failures of ID6 at degree m over the pairs with r + s = ``total``,
+    summing sum_l <r,q+l><s,k+l> term by term."""
+    failures = []
+    for r in grid["r"]:
+        for s in grid["s"]:
+            if r + s != total:
+                continue
+            row_r, row_s = read_row(r, m, m * r), read_row(s, m, m * s)
+            row_rs = read_row(r + s, m, m * (r + s) + 7)
+            for q in grid["q"]:
+                for k in range(-(m * r + 5), m * s + 6):
+                    lhs = sum(
+                        row_r[q + l] * row_s[k + l]
+                        for l in range(-min(q, k), m * r + 1)
+                        if q + l <= m * r and k + l <= m * s
+                    )
+                    for side, t in (("first", m * r - q + k), ("second", m * s + q - k)):
+                        rhs = _at(row_rs, t)
+                        if lhs != rhs:
+                            params = {"m": m, "r": r, "s": s, "q": q, "k": k, "side": side}
+                            failures.append({"params": params, "lhs": lhs, "rhs": rhs})
+    return failures
+
+
+def test_offsets_that_cancel_in_the_packed_row_are_still_reported(monkeypatch):
+    # <5,4>_2 + 2^(8 width) and <5,5>_2 - 1 pack to the same integer as the
+    # exact row; row 5 is never a factor on the quick grid, so the width that
+    # the checker packs with does not see the change
+    specs = {s.id: s for s in build_registry("quick")}
+    for identity_id in ("T2-iv", "ID6"):
+        spec = specs[identity_id]
+        width = _widths(monkeypatch, spec)[2]
+        exact = row(5, 2, 17)
+        read_row = _skew(monkeypatch, {(5, 2): {4: 1 << (8 * width), 5: -1}})
+        skewed = read_row(5, 2, 17)
+        loose = [sum(c << (8 * width * i) for i, c in enumerate(v)) for v in (exact, skewed)]
+        assert loose[0] == loose[1]
+        if identity_id == "T2-iv":
+            expected = _vandermonde_failures(spec.grid, 2, read_row, {5})
+        else:
+            expected = _shifted_product_failures(spec.grid, 2, read_row, 5)
+        # pairs (1, 4) .. (4, 1) read both entries once in T2-iv, and in ID6
+        # on both sides of each of the three q windows
+        assert len(expected) == {"T2-iv": 4 * 2, "ID6": 4 * 3 * 2 * 2}[identity_id]
+        assert run_identity(spec).failures == expected, identity_id
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("identity_id", ["T2-iv", "ID1", "ID6"])
+def test_correct_rows_are_never_decoded(monkeypatch, identity_id):
+    # a key that differed for correct rows would still pass, by decoding
+    # every block, so equal keys are checked directly
+    def decode(self):
+        raise AssertionError("a block of correct rows was decoded")
+
+    monkeypatch.setattr(identities._Packed, "__iter__", decode)
+    spec = next(s for s in build_registry("desk") if s.id == identity_id)
+    report = run_identity(spec)
+    assert report.passed and report.checked == CHECKED["desk"][identity_id]
+
+
+def test_an_entry_only_the_deep_grid_reads_is_reported_as_a_list_comparison_would(
+    monkeypatch,
+):
+    # <-14,80>_6 off by one: m = 6 and |n| = 14 lie outside the desk grid
+    specs = {s.id: s for s in build_registry("deep")}
+    read_row = _skew(monkeypatch, {(-14, 6): {80: 1}})
+
+    vandermonde = run_identity(specs["T2-iv"])
+    expected = _vandermonde_failures(specs["T2-iv"].grid, 6, read_row, {-14})
+    assert expected and vandermonde.failures == expected
+
+    chi_convolution = run_identity(specs["ID1"])
+    expected = []
+    for n in specs["ID1"].grid["n"]:
+        last = 6 * abs(n) + 5
+        values, prior = read_row(n, 6, last), read_row(n - 1, 6, last)
+        lhs = _schoolbook([chi(6, j) for j in range(last + 1)], values)
+        for k in range(-2, last + 1):
+            if _at(lhs, k) != _at(prior, k):
+                params = {"m": 6, "n": n, "k": k}
+                expected.append({"params": params, "lhs": _at(lhs, k), "rhs": _at(prior, k)})
+    assert {f["params"]["n"] for f in expected} == {-14, -13}
+    assert chi_convolution.failures == expected
+
+
 # blocks: many grid points with their two sides as two lists
 
 
