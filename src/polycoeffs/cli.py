@@ -13,7 +13,10 @@ import contextlib
 import functools
 import json
 import math
+import os
+import pickle
 import sys
+import threading
 
 import click
 
@@ -325,6 +328,98 @@ def _emit_reports(reports, fmt):
                 click.echo(f"    at {rendered['params']}: {detail}")
 
 
+def _process_count() -> int:
+    # one per CPU this process may run on, where the platform can tell; a
+    # forked child holds only the forking thread, and a lock another thread
+    # held stays locked in it, so a process running other threads forks none
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    if getaffinity is None or threading.active_count() > 1:
+        return 1
+    return len(getaffinity(0))
+
+
+def _take(tasks: list, queue: int) -> dict:
+    """Run each task whose index this process reads from ``queue``, one byte
+    at a time, until the queue is empty: ``{index: result}``."""
+    results = {}
+    while index := os.read(queue, 1):
+        results[index[0]] = tasks[index[0]]()
+    return results
+
+
+def _work(tasks: list, queue: int, sink: int):
+    """A forked worker: take tasks from ``queue``, pickle its results into
+    ``sink`` and exit, with status 0 only when they were all written."""
+    code = 1
+    try:
+        results = _take(tasks, queue)
+        with open(sink, "wb") as stream:
+            pickle.dump(results, stream, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _run_tasks(tasks: list) -> list:
+    """``[task() for task in tasks]``, run by one process per CPU this
+    process may use, at most one per task, this process included (only this
+    one while it runs other threads).
+
+    The task indices wait in a pipe, one byte each (so at most 256 tasks),
+    and every process takes the next one until the pipe is empty.  A forked
+    worker sends its results back pickled; the tasks of a worker that does
+    not (it exits non-zero or its pickle will not load) are run here, so the
+    results are those of a serial run.  An exception or interrupt here kills
+    and reaps every worker before it propagates.
+    """
+    indices = bytes(range(len(tasks)))
+    queue, feed = os.pipe()
+    os.write(feed, indices)
+    os.close(feed)
+    children: dict = {}  # pid -> the read end of its result pipe
+    try:
+        for _ in range(min(_process_count(), len(tasks)) - 1):
+            source, sink = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: fewer workers
+                os.close(source)
+                os.close(sink)
+                break
+            if pid == 0:
+                _work(tasks, queue, sink)
+            os.close(sink)
+            children[pid] = open(source, "rb")
+        results = _take(tasks, queue)
+        for pid, stream in list(children.items()):
+            data = stream.read()
+            stream.close()
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            if status == 0:
+                # whatever stops the pickle loading, its tasks run again here
+                with contextlib.suppress(Exception):
+                    results.update(pickle.loads(data))
+    finally:
+        os.close(queue)
+        if children:
+            from signal import SIGKILL  # imported on this path only
+
+            for pid in children:
+                os.kill(pid, SIGKILL)
+            for pid, stream in children.items():
+                os.waitpid(pid, 0)
+                stream.close()
+    return [
+        results[index] if index in results else task()
+        for index, task in enumerate(tasks)
+    ]
+
+
+def _identity_reports(spec) -> list:
+    return [run_identity(spec)]
+
+
 @cli.command("verify")
 @click.argument("selector")
 @click.option("--profile", type=click.Choice(sorted(PROFILES)), default="desk",
@@ -334,19 +429,23 @@ def cmd_verify(selector, profile, fmt):
     """Run one identity (by id) or the whole suite ("all").
 
     Exits 0 when every checked point holds, 1 when any counterexample is
-    found.
+    found.  The suite is spread over the CPUs the process may use; its
+    output is that of a serial run.
     """
+    # each task returns a list of reports; run_identity and verification_suite
+    # are looked up when a task runs, so a rebinding of either applies
     registry = {spec.id: spec for spec in build_registry(profile)}
     if selector == "all":
-        reports = [run_identity(spec) for spec in registry.values()]
-        reports.extend(verification_suite())
+        tasks = [functools.partial(_identity_reports, spec) for spec in registry.values()]
+        tasks.append(lambda: verification_suite())
     elif selector in registry:
-        reports = [run_identity(registry[selector])]
+        tasks = [functools.partial(_identity_reports, registry[selector])]
     elif selector in NUMERIC_CHECK_IDS:
-        reports = verification_suite(only=selector)
+        tasks = [lambda: verification_suite(only=selector)]
     else:
         known = ", ".join(list(registry) + list(NUMERIC_CHECK_IDS))
         raise click.UsageError(f"unknown identity '{selector}' (known: {known}, all)")
+    reports = [report for result in _run_tasks(tasks) for report in result]
     _emit_reports(reports, fmt)
     if any(r.failures for r in reports):
         sys.exit(1)

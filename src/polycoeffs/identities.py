@@ -15,20 +15,21 @@ Grid conventions: degree m starts at 1; row indices run over both signs
 where an identity permits them; column indices sweep the natural support
 plus a margin of out-of-support points so the zero clauses are exercised.
 
-T2-iv, ID1 and ID6 form their left sides by Kronecker substitution: each row
-is packed into one integer with a slot of ``_width`` bytes per coefficient,
-and one big-integer product gives every convolution sum at once; the product
-is exact because the width keeps every slot's sum strictly inside its signed
-range, so no slot carries into the next.  Their sides stay packed: a
-``_Packed`` side is one key, the product's slots over the block's window on
-the left and the expected row packed the same way on the right, and the
-block is decoded into lists only when the keys differ.  Equal keys mean
-equal sides: a key holds a side's values as signed digits in base
-2^(8*width), taken modulo a power of the base where the window is masked,
-and a number (or residue) has only one set of digits in the signed range.
-That needs every expected value inside its signed slot, so a row with a
-value outside it gets no key and its blocks are always decoded; such a
-value cannot equal the in-range sum in its slot, so decoding reports it.
+T2-iv, ID1 and ID6 form their left sides, and T2-v its right side, by
+Kronecker substitution: each row is packed into one integer with a slot of
+``_width`` bytes per coefficient, and one big-integer product gives every
+convolution sum at once; the product is exact because the width keeps every
+slot's sum strictly inside its signed range, so no slot carries into the
+next.  Their sides stay packed: a ``_Packed`` side is one key, the product's
+slots over the block's window on one side and the expected row packed the
+same way on the other, and the block is decoded into lists only when the
+keys differ.  Equal keys mean equal sides: a key holds a side's values as
+signed digits in base 2^(8*width), taken modulo a power of the base where
+the window is masked, and a number (or residue) has only one set of digits
+in the signed range.  That needs every expected value inside its signed
+slot, so a row with a value outside it gets no key and its blocks are always
+decoded; such a value cannot equal the in-range sum in its slot, so decoding
+reports it.
 """
 from __future__ import annotations
 
@@ -113,7 +114,8 @@ class IdentitySpec:
 
 @dataclass
 class IdentityReport:
-    """Outcome of evaluating one identity over its grid."""
+    """Outcome of evaluating one identity over its grid; ``elapsed`` is the
+    evaluation's wall time in seconds, measured in the process that ran it."""
 
     id: str
     grid: str
@@ -280,6 +282,16 @@ def _n_block(m: int, ns, lhs: list, rhs: list) -> Block:
     return Block({"m": m, "n": ns}, ("n",), lhs, rhs)
 
 
+def _window_rows(m: int, ns) -> dict[int, list[int]]:
+    """Rows n and n - 1 for each n in ``ns``, each built once: a window
+    sweep reads both out to ``_k_last(n, m)``."""
+    limits: dict = {}
+    for n in ns:
+        for j in (n - 1, n):
+            limits[j] = max(limits.get(j, 0), _k_last(n, m))
+    return {j: row(j, m, limit) for j, limit in limits.items()}
+
+
 _SIDES = ("first", "second")
 
 
@@ -310,9 +322,10 @@ def _check_symmetry(grid) -> Iterator[Block]:
 
 def _check_absorption(grid) -> Iterator[Block]:
     for m in grid["m"]:
+        rows = _window_rows(m, grid["n"])
         for n in grid["n"]:
             ks = [k for k in _k_values(n, m) if k != 0]
-            values, prior = row(n, m, _k_last(n, m)), row(n - 1, m, _k_last(n, m))
+            values, prior = rows[n], rows[n - 1]
             lhs = [k * _at(values, k) for k in ks]
             rhs = [n * sum(i * _at(prior, k - i) for i in range(1, m + 1)) for k in ks]
             yield _k_block(m, n, ks, lhs, rhs)
@@ -355,11 +368,17 @@ def _check_vandermonde(grid) -> Iterator[Block]:
 
 def _check_addition(grid) -> Iterator[Block]:
     for m in grid["m"]:
+        rows = _window_rows(m, grid["n"])
+        ones = [1] * (m + 1)
         for n in grid["n"]:
-            ks = _k_values(n, m)
-            values, prior = row(n, m, _k_last(n, m)), row(n - 1, m, _k_last(n, m))
-            rhs = [sum(_at(prior, k - i) for i in range(m + 1)) for k in ks]
-            yield _k_block(m, n, ks, [_at(values, k) for k in ks], rhs)
+            ks, last = _k_values(n, m), _k_last(n, m)
+            values, prior = rows[n][: last + 1], rows[n - 1][: last + 1]
+            # the sum over i <= m is row n - 1 times 1 + t + ... + t^m, each
+            # slot a sum of m + 1 entries of row n - 1
+            width = _width([prior], m + 1)
+            product = _pack(ones, width) * _pack(prior, width)
+            sums, expected = _product_sides(product, width, values, _key(values, width), ks)
+            yield _k_block(m, n, ks, expected, sums)
 
 
 def _bivariate_mul(a: dict, b: dict) -> dict:
@@ -388,15 +407,22 @@ def _check_binomial_theorem(grid) -> Iterator[Block]:
 
 
 def _check_upper_summation(grid) -> Iterator[Block]:
+    ns = grid["n"]
     for m in grid["m"]:
-        for n in grid["n"]:
+        # row n + 1 is read out to entry m*n + margin + 1
+        limit = m * max(ns) + SUPPORT_MARGIN + 1
+        rows = [row(l, m, limit) for l in range(max(ns) + 2)]
+        weights = [chi(m - 1, i) for i in range(limit)]
+        # column sums of rows 0..n, accumulated over n
+        sums = [0] * (limit + 1)
+        for n in range(max(ns) + 1):
+            sums = [a + b for a, b in zip(sums, rows[n])]
+            if n not in ns:
+                continue
             ks = range(m * n + SUPPORT_MARGIN + 1)
-            rows = [row(l, m, ks[-1]) for l in range(n + 1)]
-            upper = row(n + 1, m, ks[-1] + 1)
-            weights = [chi(m - 1, i) for i in ks]
-            lhs = [sum(column) for column in zip(*rows)]
+            upper = rows[n + 1]
             rhs = [sum(weights[i] * upper[k - i + 1] for i in range(k + 1)) for k in ks]
-            yield _k_block(m, n, ks, lhs, rhs)
+            yield _k_block(m, n, ks, sums[: len(ks)], rhs)
 
 
 def _check_parallel_summation(grid) -> Iterator[Block]:
@@ -432,9 +458,10 @@ def _check_horizontal(grid) -> Iterator[Block]:
 
 def _check_chi_convolution(grid) -> Iterator[Block]:
     for m in grid["m"]:
+        rows = _window_rows(m, grid["n"])
         for n in grid["n"]:
             ks, last = _k_values(n, m), _k_last(n, m)
-            values, prior = row(n, m, last), row(n - 1, m, last)
+            values, prior = rows[n][: last + 1], rows[n - 1][: last + 1]
             weights = [chi(m, j) for j in range(last + 1)]
             width = _width([weights, values], last + 1)
             product = _pack(weights, width) * _pack(values, width)
@@ -624,31 +651,49 @@ def _check_quadrinomial_squares(grid) -> Iterator[Block]:
     yield Block({"r": rs}, ("r",), lhs, rhs)
 
 
+def _taylor_shift(values: list[int]) -> list[int]:
+    """Coefficients of f(1 + t) from those of f(t), by additions only."""
+    out = list(values)
+    for i in range(len(out) - 1):
+        for j in range(len(out) - 2, i - 1, -1):
+            out[j] += out[j + 1]
+    return out
+
+
 def _check_binomial_weightings(grid) -> Iterator[Block]:
+    ns = grid["n"]
     for m in grid["m"]:
-        for n in grid["n"]:
+        limit = m * max(ns) + SUPPORT_MARGIN
+        rows = [row(l, m, limit) for l in range(max(ns) + 1)]
+        # degree 0 means the base polynomial is the constant 1
+        lower = [
+            row(j, m - 1, limit) if m > 1 else [1] + [0] * limit
+            for j in range(max(ns) + 1)
+        ]
+        pascal = [
+            [math.comb((m + 1) * j, i) for i in range((m + 1) * j + 1)]
+            for j in range(max(ns) + 1)
+        ]
+        for n in ns:
             ks = range(m * n + SUPPORT_MARGIN + 1)
-            rows = [row(l, m, ks[-1]) for l in range(n + 1)]
-            # degree 0 means the base polynomial is the constant 1
-            lower = [
-                row(j, m - 1, ks[-1]) if m > 1 else [1] + [0] * ks[-1]
-                for j in range(n + 1)
-            ]
-            values = rows[n]
             weights = [binom(n, j) for j in range(n + 1)]
             doubled = [2 ** (n - j) * weights[j] for j in range(n + 1)]
             signed = [(-1 if (n - j) & 1 else 1) * weights[j] for j in range(n + 1)]
             lhs1 = [
-                sum(w * c for w, c in zip(weights, column)) for column in zip(*rows)
+                sum(w * rows[j][k] for j, w in enumerate(weights)) for k in ks
             ]
             rhs1 = [
                 sum(doubled[j] * _at(lower[j], k - j) for j in range(n + 1)) for k in ks
             ]
-            lhs2 = [
-                sum(values[l] * binom(l, k) for l in range(k, m * n + 1)) for k in ks
-            ]
+            # sum_l <n,l> C(l,k) is [t^k] of row n at 1 + t
+            lhs2 = _taylor_shift(rows[n][: m * n + 1]) + [0] * SUPPORT_MARGIN
+            # C(N, i) is 0 past N
             rhs2 = [
-                sum(signed[j] * binom((m + 1) * j, k + n) for j in range(n + 1))
+                sum(
+                    signed[j] * pascal[j][k + n]
+                    for j in range(n + 1)
+                    if k + n < len(pascal[j])
+                )
                 for k in ks
             ]
             yield Block(

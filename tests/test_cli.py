@@ -2,8 +2,14 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
+import threading
+import time
 from decimal import Decimal
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -279,13 +285,28 @@ VERIFY_DIGESTS = {
 }
 
 
-# deep JSON is checked by test_verify_all_deep_json_passes_the_benchmark_check
+def _cpus(monkeypatch, count):
+    """Let the CLI see ``count`` CPUs that it may use."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# deep JSON is checked by test_verify_all_deep_json_passes_the_benchmark_check;
+# one CPU runs every task in this process, four fork three workers
 @pytest.mark.parametrize("profile, fmt", [key for key in VERIFY_DIGESTS if key[0] == "quick"])
-def test_verify_all_output_is_pinned(runner, profile, fmt):
-    result = invoke(runner, "verify", "all", "--profile", profile, "--format", fmt)
-    assert result.exit_code == 0
-    digest = hashlib.sha256(result.stdout.encode()).hexdigest()
-    assert digest == VERIFY_DIGESTS[profile, fmt]
+def test_verify_all_output_is_pinned(runner, monkeypatch, profile, fmt):
+    for cpus in (1, 4):
+        _cpus(monkeypatch, cpus)
+        result = invoke(runner, "verify", "all", "--profile", profile, "--format", fmt)
+        assert result.exit_code == 0
+        digest = hashlib.sha256(result.stdout.encode()).hexdigest()
+        assert digest == VERIFY_DIGESTS[profile, fmt], cpus
+    _no_child_left()
 
 
 def test_verify_all_deep_json_passes_the_benchmark_check(runner):
@@ -502,3 +523,181 @@ def test_table_values_match_library(runner):
     payload = json.loads(result.output)
     for entry in payload["rows"]:
         assert [int(c) for c in entry["coeffs"]] == row(entry["n"], 2, 8)
+
+
+# `verify` runs its tasks on every CPU the process may use: forked workers
+# take task indices from a pipe and send their reports back pickled
+
+
+def _in_parent():
+    parent = os.getpid()
+    return lambda: os.getpid() == parent
+
+
+def _forbid_forking(monkeypatch):
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+def _assert_pinned_quick_plain(result):
+    assert result.exit_code == 0
+    digest = hashlib.sha256(result.stdout.encode()).hexdigest()
+    assert digest == VERIFY_DIGESTS["quick", "plain"]
+
+
+def test_verify_failures_with_big_integers_and_fractions_cross_the_pipe(
+    runner, monkeypatch
+):
+    from polycoeffs import identities
+
+    # <3,1>_2 off by 2^80 wherever a checker reads it; ID4 then fails with a
+    # Fraction, the row sums with integers past 2^64
+    delta = 1 << 80
+    exact_row, exact_coeff, exact_run = (
+        identities.row, identities.coeff, cli_module.run_identity
+    )
+
+    def skewed_row(n, m, limit):
+        values = exact_row(n, m, limit)
+        if (n, m) == (3, 2) and len(values) > 1:
+            values[1] += delta
+        return values
+
+    monkeypatch.setattr(identities, "row", skewed_row)
+    monkeypatch.setattr(identities, "coeff",
+                        lambda n, k, m: exact_coeff(n, k, m) + delta * ((n, k, m) == (3, 1, 2)))
+    in_parent = _in_parent()
+
+    def dawdling_run(spec):
+        # this process waits, so the workers take most of the tasks
+        if in_parent():
+            time.sleep(0.02)
+        return exact_run(spec)
+
+    monkeypatch.setattr(cli_module, "run_identity", dawdling_run)
+    outputs = []
+    for cpus in (1, 4):
+        _cpus(monkeypatch, cpus)
+        result = invoke(runner, "verify", "all", "--profile", "quick", "--format", "json")
+        assert result.exit_code == 1
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+    failures = {e["id"]: e["failures"] for e in json.loads(outputs[1])}
+    assert any("/" in f["lhs"] for f in failures["ID4"])
+    assert any(abs(int(f["rhs"])) > delta for f in failures["T2-iv"])
+    _no_child_left()
+
+
+def test_run_tasks_returns_worker_results_in_task_order(monkeypatch):
+    _cpus(monkeypatch, 4)
+    in_parent = _in_parent()
+
+    def task(index):
+        def run():
+            # this process dawdles, so the workers take some of the tasks
+            if in_parent():
+                time.sleep(0.2)
+            return index, Fraction(1, 3) ** index, 10 ** 40 + index, in_parent()
+
+        return run
+
+    results = cli_module._run_tasks([task(i) for i in range(8)])
+    assert [r[:3] for r in results] == [
+        (i, Fraction(1, 3) ** i, 10 ** 40 + i) for i in range(8)
+    ]
+    assert not all(r[3] for r in results)
+    _no_child_left()
+
+
+def test_verify_reruns_the_tasks_of_a_worker_that_dies(runner, monkeypatch):
+    exact_run, in_parent = cli_module.run_identity, _in_parent()
+
+    def dying_run(spec):
+        if not in_parent():
+            os._exit(3)
+        return exact_run(spec)
+
+    monkeypatch.setattr(cli_module, "run_identity", dying_run)
+    _cpus(monkeypatch, 4)
+    _assert_pinned_quick_plain(invoke(runner, "verify", "all", "--profile", "quick"))
+    _no_child_left()
+
+
+def test_verify_reruns_the_tasks_of_a_worker_whose_pickle_will_not_load(
+    runner, monkeypatch
+):
+    exact_run, in_parent = cli_module.run_identity, _in_parent()
+
+    class Unloadable:
+        def __reduce__(self):
+            return (_refuse, ())
+
+    def run(spec):
+        report = exact_run(spec)
+        if not in_parent():
+            report.elapsed = Unloadable()
+        return report
+
+    monkeypatch.setattr(cli_module, "run_identity", run)
+    _cpus(monkeypatch, 4)
+    _assert_pinned_quick_plain(invoke(runner, "verify", "all", "--profile", "quick"))
+    _no_child_left()
+
+
+def _refuse():
+    raise ValueError("this value does not load")
+
+
+def test_an_interrupt_kills_and_reaps_every_worker(monkeypatch):
+    _cpus(monkeypatch, 4)
+    in_parent = _in_parent()
+
+    def task():
+        if in_parent():
+            raise KeyboardInterrupt
+        time.sleep(60)  # a worker is killed, not waited for
+
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        cli_module._run_tasks([task] * 8)
+    assert time.perf_counter() - start < 30
+    _no_child_left()
+
+
+@pytest.mark.parametrize("selector", ["T2-iv", "ID14"])
+def test_verify_one_identity_forks_nothing(runner, monkeypatch, selector):
+    _forbid_forking(monkeypatch)
+    _cpus(monkeypatch, 4)
+    result = invoke(runner, "verify", selector, "--profile", "quick")
+    assert result.exit_code == 0
+    assert result.output.startswith(f"ok {selector} ")
+
+
+def test_verify_forks_nothing_while_another_thread_runs(runner, monkeypatch):
+    _forbid_forking(monkeypatch)
+    _cpus(monkeypatch, 4)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        result = invoke(runner, "verify", "all", "--profile", "quick")
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    _assert_pinned_quick_plain(result)
+
+
+def test_verify_leaves_no_process_running():
+    # a worker left running would keep the CLI's process group alive
+    env = {**os.environ, "PYTHONPATH": str(Path(cli_module.__file__).parents[1])}
+    process = subprocess.Popen(
+        [sys.executable, "-m", "polycoeffs", "verify", "all", "--profile", "quick"],
+        env=env, stdout=subprocess.DEVNULL, start_new_session=True,
+    )
+    assert process.wait(timeout=120) == 0
+    # the session's process group has the CLI's pid as its id
+    with pytest.raises(ProcessLookupError):
+        os.killpg(process.pid, 0)

@@ -345,7 +345,7 @@ def test_offsets_that_cancel_in_the_packed_row_are_still_reported(monkeypatch):
         monkeypatch.undo()
 
 
-@pytest.mark.parametrize("identity_id", ["T2-iv", "ID1", "ID6"])
+@pytest.mark.parametrize("identity_id", ["T2-iv", "T2-v", "ID1", "ID6"])
 def test_correct_rows_are_never_decoded(monkeypatch, identity_id):
     # a key that differed for correct rows would still pass, by decoding
     # every block, so equal keys are checked directly
