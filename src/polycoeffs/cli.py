@@ -26,7 +26,7 @@ from .errors import MismatchError, TooLarge
 from .genfun import carlitz_gf, column_gf, pk_by_recurrence
 from .identities import PROFILES, build_registry, run_identity
 from .series import IntPolynomial, TruncatedSeries
-from .trinomial import NUMERIC_CHECK_IDS, verification_suite
+from .trinomial import NUMERIC_CHECKS
 
 FORMATS = click.Choice(["plain", "json", "csv"])
 
@@ -416,10 +416,6 @@ def _run_tasks(tasks: list) -> list:
     ]
 
 
-def _identity_reports(spec) -> list:
-    return [run_identity(spec)]
-
-
 @cli.command("verify")
 @click.argument("selector")
 @click.option("--profile", type=click.Choice(sorted(PROFILES)), default="desk",
@@ -432,20 +428,17 @@ def cmd_verify(selector, profile, fmt):
     found.  The suite is spread over the CPUs the process may use; its
     output is that of a serial run.
     """
-    # each task returns a list of reports; run_identity and verification_suite
-    # are looked up when a task runs, so a rebinding of either applies
-    registry = {spec.id: spec for spec in build_registry(profile)}
+    # one task per check, exact or numeric; run_identity is looked up as the
+    # command runs, so a rebinding of it applies
+    registry = {spec.id: spec for spec in [*build_registry(profile), *NUMERIC_CHECKS]}
     if selector == "all":
-        tasks = [functools.partial(_identity_reports, spec) for spec in registry.values()]
-        tasks.append(lambda: verification_suite())
+        specs = registry.values()
     elif selector in registry:
-        tasks = [functools.partial(_identity_reports, registry[selector])]
-    elif selector in NUMERIC_CHECK_IDS:
-        tasks = [lambda: verification_suite(only=selector)]
+        specs = [registry[selector]]
     else:
-        known = ", ".join(list(registry) + list(NUMERIC_CHECK_IDS))
+        known = ", ".join(registry)
         raise click.UsageError(f"unknown identity '{selector}' (known: {known}, all)")
-    reports = [report for result in _run_tasks(tasks) for report in result]
+    reports = _run_tasks([functools.partial(run_identity, spec) for spec in specs])
     _emit_reports(reports, fmt)
     if any(r.failures for r in reports):
         sys.exit(1)

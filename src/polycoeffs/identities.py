@@ -9,7 +9,9 @@ Every checker yields ``Block``s, one per row, convolution or degree: the
 fixed parameters, the swept ones as sequences, and both sides as two
 equal-length sequences.  ``run_identity`` compares the two sides at once and
 decodes points only on a mismatch, so the deep profile's 771,690 points do
-not each cost a params dict, a tuple and a comparison.
+not each cost a params dict, a tuple and a comparison.  ``trinomial``'s
+numeric checks are specs too: their grid is the report's text, and they
+yield one-point blocks with a tolerance, which ``holds`` applies.
 
 Grid conventions: degree m starts at 1; row indices run over both signs
 where an identity permits them; column indices sweep the natural support
@@ -43,13 +45,22 @@ from typing import Any, Callable, Collection, Iterator, Mapping
 from .coefficients import binom, chi, coeff, multinomial_oracle, row
 from .genfun import pk_by_recurrence
 
+
+def holds(lhs, rhs, tolerance: float = 0) -> bool:
+    """Whether one point holds: ``lhs == rhs`` at tolerance 0 (so tuples
+    and ``Fraction``s compare exactly), ``abs(lhs - rhs) <= tolerance``
+    otherwise; a NaN side never holds."""
+    return lhs == rhs if tolerance == 0 else abs(lhs - rhs) <= tolerance
+
+
 class Block:
     """Grid points sharing ``params``: each key in ``swept`` maps to a
     sequence of values, the last key varying fastest, and ``lhs``, ``rhs``
     give the two sides point by point over that sweep, as lists or as
-    ``_Packed`` sides that build their lists when iterated."""
+    ``_Packed`` sides that build their lists when iterated.  Each point
+    holds by ``holds`` at ``tolerance``."""
 
-    __slots__ = ("params", "swept", "lhs", "rhs")
+    __slots__ = ("params", "swept", "lhs", "rhs", "tolerance")
 
     def __init__(
         self,
@@ -57,6 +68,7 @@ class Block:
         swept: tuple[str, ...],
         lhs: Collection,
         rhs: Collection,
+        tolerance: float = 0,
     ):
         size = math.prod(len(params[key]) for key in swept)
         if not len(lhs) == len(rhs) == size:
@@ -64,6 +76,7 @@ class Block:
                 f"block of {size} points has {len(lhs)} left and {len(rhs)} right sides"
             )
         self.params, self.swept, self.lhs, self.rhs = params, swept, lhs, rhs
+        self.tolerance = tolerance
 
     def point(self, index: int) -> dict:
         """The params of point ``index``, keys in ``params`` order."""
@@ -75,11 +88,11 @@ class Block:
 
     def mismatches(self) -> Iterator[dict]:
         for index, (lhs, rhs) in enumerate(zip(self.lhs, self.rhs)):
-            if lhs != rhs:
+            if not holds(lhs, rhs, self.tolerance):
                 yield {"params": self.point(index), "lhs": lhs, "rhs": rhs}
 
 
-Checker = Callable[[Mapping[str, Any]], Iterator[Block]]
+Checker = Callable[[Mapping[str, Any] | str], Iterator[Block]]
 
 
 @dataclass(frozen=True)
@@ -103,12 +116,13 @@ SUPPORT_MARGIN = 5
 @dataclass(frozen=True)
 class IdentitySpec:
     """One registry entry: an id, a human description, the classical
-    identity it extends, concrete grid ranges, and the two-sides checker."""
+    identity it extends, concrete grid ranges (or the report's grid text
+    itself), and the two-sides checker, which is passed the grid."""
 
     id: str
     description: str
     source: str
-    grid: Mapping[str, Any]
+    grid: Mapping[str, Any] | str
     checker: Checker
 
 
@@ -149,7 +163,9 @@ def _render(value: Any) -> str:
     return str(value)
 
 
-def _grid_text(grid: Mapping[str, Any]) -> str:
+def _grid_text(grid: Mapping[str, Any] | str) -> str:
+    if isinstance(grid, str):
+        return grid
     parts = []
     for name, spec in grid.items():
         if isinstance(spec, range):
@@ -866,7 +882,8 @@ def run_identity(spec: IdentitySpec) -> IdentityReport:
             checked += len(block.lhs)
             if block.lhs:
                 last = block
-            if block.lhs != block.rhs:
+            # at tolerance 0 compare whole: keys, or lists, where a NaN equals itself
+            if block.tolerance or block.lhs != block.rhs:
                 failures.extend(block.mismatches())
     except Exception as exc:
         params = {} if last is None else last.point(len(last.lhs) - 1)

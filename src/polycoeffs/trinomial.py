@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +19,7 @@ import numpy.polynomial.legendre
 
 from .coefficients import coeff, row
 from .errors import DomainError, NegativeN, TooLarge
-from .identities import IdentityReport
+from .identities import Block, IdentityReport, IdentitySpec, holds, run_identity
 from .series import TruncatedSeries
 
 _GL_NODES, _GL_WEIGHTS = numpy.polynomial.legendre.leggauss(64)
@@ -30,7 +29,7 @@ _GL_POINTS = list(zip(_GL_NODES.tolist(), _GL_WEIGHTS.tolist()))
 @dataclass(frozen=True)
 class NumericCheck:
     """A computed value against an expected one, within an explicit
-    tolerance; ``Fraction``s at tolerance 0 are compared exactly."""
+    tolerance, compared by ``holds`` as a ``Block``'s points are."""
 
     description: str
     computed: float | Fraction
@@ -39,7 +38,7 @@ class NumericCheck:
 
     @property
     def passed(self) -> bool:
-        return abs(self.computed - self.expected) <= self.tolerance
+        return holds(self.computed, self.expected, self.tolerance)
 
 
 def gegenbauer(alpha: int, degree: int, argument) -> Fraction:
@@ -299,38 +298,20 @@ def numeric_binomial_check(
 
 
 # ---------------------------------------------------------------------------
-# the numeric registry: each entry yields (params, NumericCheck) pairs, which
-# _report turns into an IdentityReport like run_identity's
+# the numeric registry: IdentitySpecs whose grid is the report's text and
+# whose checkers yield one Block per point, with its tolerance, for
+# run_identity to report as it does the exact identities
 
 
-def _report(identity_id, grid_text, points) -> IdentityReport:
-    # a raising check adds one failure with its last params, as in run_identity
-    start = time.perf_counter()
-    checked = 0
-    failures = []
-    params = {}
-    try:
-        for params, check in points:
-            checked += 1
-            if not check.passed:
-                failures.append(
-                    {"params": params, "lhs": check.computed, "rhs": check.expected}
-                )
-    except Exception as exc:
-        failures.append({"params": params, "error": f"{type(exc).__name__}: {exc}"})
-    return IdentityReport(
-        identity_id, grid_text, checked, failures, time.perf_counter() - start
-    )
+def _point(params: dict, check: NumericCheck) -> Block:
+    return Block(params, (), [check.computed], [check.expected], check.tolerance)
 
 
 def _dilcher_points():
     for n in range(1, 7):
         for k in range(0, 7):
-            computed, expected = dilcher_sum(n, k), float(coeff(-n, k, 2))
-            yield (
-                {"n": n, "k": k},
-                NumericCheck(f"cosine products n={n} k={k}", computed, expected, 1e-6),
-            )
+            expected = float(coeff(-n, k, 2))
+            yield Block({"n": n, "k": k}, (), [dilcher_sum(n, k)], [expected], 1e-6)
 
 
 def _rainville_points(formula):
@@ -338,8 +319,7 @@ def _rainville_points(formula):
     for p in range(1, 7):
         for n in range(0, n_top + 1):
             lhs, rhs = formula(p, n)
-            check = NumericCheck(f"{formula.__name__} p={p} n={n}", lhs, rhs, 0)
-            yield {"p": p, "n": n}, check
+            yield Block({"p": p, "n": n}, (), [lhs], [rhs])
 
 
 def _brafman_points():
@@ -350,19 +330,15 @@ def _brafman_points():
     # 1.4e-11 at n=2 and 1.1e-15 at n=3 on these term counts
     for n, terms, tol in ((2, 2_400, 1e-9), (3, 600, 1e-12)):
         last = deque(_brafman_partial_sums(n, terms), maxlen=6)
-        check = NumericCheck(
-            f"cubed trinomial series n={n} (mean of last 6 of {terms} partial sums)",
-            math.fsum(last) / len(last),
-            _brafman_closed_form(n),
-            tol,
-        )
-        yield {"n": n, "terms": terms, "tolerance": tol}, check
+        params = {"n": n, "terms": terms, "tolerance": tol}
+        mean = math.fsum(last) / len(last)
+        yield Block(params, (), [mean], [_brafman_closed_form(n)], tol)
 
 
 def _hgf_points():
     for n in (1, 2, 3):
         for t in (0.25, -0.25, 0.5, -0.5):
-            yield {"n": n, "t": t}, hgf_series(n, t, 400)
+            yield _point({"n": n, "t": t}, hgf_series(n, t, 400))
 
 
 def _integral_points():
@@ -370,7 +346,7 @@ def _integral_points():
         for n in range(0, 7):
             checks = _integral_checks(n, m, range(m * n + 1), 1e-8, 8)
             for k, check in enumerate(checks):
-                yield {"n": n, "k": k, "m": m}, check
+                yield _point({"n": n, "k": k, "m": m}, check)
 
 
 def _binomial_numeric_points():
@@ -381,35 +357,48 @@ def _binomial_numeric_points():
         (-3, 2, 0.05, 1.0, 80),
     )
     for n, m, x, y, terms in samples:
-        yield (
-            {"n": n, "m": m, "x": x, "y": y, "terms": terms},
-            numeric_binomial_check(n, m, x, y, terms),
-        )
+        check = numeric_binomial_check(n, m, x, y, terms)
+        yield _point({"n": n, "m": m, "x": x, "y": y, "terms": terms}, check)
 
 
-# id -> (grid text, points), in report order
-NUMERIC_CHECKS = {
-    "ID11": ("n=1..6, k=0..6, tol=1e-6", _dilcher_points),
-    "ID12": ("p=1..6, n=0..8, exact", lambda: _rainville_points(rainville_32)),
-    "ID13": ("p=1..6, n=0..10, exact", lambda: _rainville_points(rainville_36)),
-    "ID14": (
-        "mean of the last 6 partial sums: n=2 (2400 terms, tol=1e-9), "
-        "n=3 (600 terms, tol=1e-12)",
-        _brafman_points,
-    ),
-    "ID15": ("n=1..3, t in {+-0.25, +-0.5}, tol=1e-10", _hgf_points),
-    "INTEGRAL": ("n=0..6, m=1..4, k=0..mn, tol=1e-8", _integral_points),
-    "T2-vi-numeric": ("sampled (n,m,x,y), tol=1e-10", _binomial_numeric_points),
-}
-NUMERIC_CHECK_IDS = tuple(NUMERIC_CHECKS)
+# in report order: id, description, source, grid text, checker
+NUMERIC_CHECKS = (
+    IdentitySpec("ID11", "cosine-product expansion of <-n,k>_2",
+                 "Dilcher's cosine products, Gegenbauer at x = -1/2",
+                 "n=1..6, k=0..6, tol=1e-6", lambda grid: _dilcher_points()),
+    IdentitySpec("ID12", "first Rainville-type summation, exactly",
+                 "a Rainville-type Gegenbauer summation", "p=1..6, n=0..8, exact",
+                 lambda grid: _rainville_points(rainville_32)),
+    IdentitySpec("ID13", "second Rainville-type summation, exactly",
+                 "a Rainville-type Gegenbauer summation", "p=1..6, n=0..10, exact",
+                 lambda grid: _rainville_points(rainville_36)),
+    IdentitySpec("ID14", "alternating sum of cubed coefficients, closed form",
+                 "a Brafman-type series",
+                 "mean of the last 6 partial sums: n=2 (2400 terms, tol=1e-9), "
+                 "n=3 (600 terms, tol=1e-12)", lambda grid: _brafman_points()),
+    IdentitySpec("ID15", "hypergeometric-type series in t, closed form",
+                 "a Gegenbauer generating function in hypergeometric form",
+                 "n=1..3, t in {+-0.25, +-0.5}, tol=1e-10", lambda grid: _hgf_points()),
+    IdentitySpec("INTEGRAL", "cosine-kernel integral representation of <n,k>_m",
+                 "composite Gauss-Legendre quadrature",
+                 "n=0..6, m=1..4, k=0..mn, tol=1e-8", lambda grid: _integral_points()),
+    IdentitySpec("T2-vi-numeric", "two-variable expansion of a negative row",
+                 "extends the binomial theorem (T2-vi)",
+                 "sampled (n,m,x,y), tol=1e-10",
+                 lambda grid: _binomial_numeric_points()),
+)
+_BY_ID = {spec.id: spec for spec in NUMERIC_CHECKS}
+NUMERIC_CHECK_IDS = tuple(_BY_ID)
+
+
+def _report(spec: IdentitySpec) -> IdentityReport:
+    # perfbench's tracer spans this step as trinomial.<ID> (ROADMAP item 1);
+    # were it an alias of run_identity, the tracer would wrap that twice
+    return run_identity(spec)
 
 
 def verification_suite(only: str | None = None) -> list[IdentityReport]:
     """Reports for the numeric and trinomial checks, in table order; an
     unknown ``only`` raises ``KeyError``."""
-    selected = NUMERIC_CHECK_IDS if only is None else (only,)
-    reports = []
-    for identity_id in selected:
-        grid_text, points = NUMERIC_CHECKS[identity_id]
-        reports.append(_report(identity_id, grid_text, points()))
-    return reports
+    specs = NUMERIC_CHECKS if only is None else (_BY_ID[only],)
+    return [_report(spec) for spec in specs]

@@ -328,6 +328,12 @@ def test_verify_all_deep_json_passes_the_benchmark_check(runner):
 def test_verify_unknown_selector(runner):
     result = invoke(runner, "verify", "NOPE")
     assert result.exit_code == 2
+    # every id, exact then numeric, in report order
+    assert result.stderr.splitlines()[-1] == (
+        "Error: unknown identity 'NOPE' (known: T2-i, T2-ii, T2-iii, T2-iv, T2-v, "
+        "T2-vi, T2-vii, T2-viii, T2-ix, ID1, ID2, ID3, ID4, ID5, ID6, ID7, ID8, ID9, "
+        "ID10, ID11, ID12, ID13, ID14, ID15, INTEGRAL, T2-vi-numeric, all)"
+    )
 
 
 def test_verify_failure_exits_one(runner, monkeypatch):
@@ -363,7 +369,7 @@ def test_verify_raising_checker_fails_without_aborting(runner, monkeypatch):
         "T2-v", "holds", "-", {}, lambda grid: iter([Block({}, (), [1], [1])])
     )
     monkeypatch.setattr(cli_module, "build_registry", lambda profile: [raising, passing])
-    monkeypatch.setattr(cli_module, "verification_suite", lambda: [])
+    monkeypatch.setattr(cli_module, "NUMERIC_CHECKS", ())
     result = invoke(runner, "verify", "all")
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
@@ -376,6 +382,7 @@ def test_verify_raising_checker_fails_without_aborting(runner, monkeypatch):
 
 def test_verify_raising_numeric_check_fails_without_aborting(runner, monkeypatch):
     from polycoeffs import trinomial
+    from polycoeffs.identities import Block
 
     exact_points = trinomial._rainville_points
 
@@ -383,7 +390,7 @@ def test_verify_raising_numeric_check_fails_without_aborting(runner, monkeypatch
         if formula is not trinomial.rainville_32:
             yield from exact_points(formula)
             return
-        yield {"p": 1, "n": 0}, trinomial.NumericCheck("holds", 1, 1, 0)
+        yield Block({"p": 1, "n": 0}, (), [1], [1])
         raise ValueError("forced")
 
     monkeypatch.setattr(trinomial, "_rainville_points", raising_points)

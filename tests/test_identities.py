@@ -444,6 +444,53 @@ def test_block_sides_must_cover_its_sweep():
         Block({"k": range(2), "side": ("a", "b")}, ("k", "side"), [0] * 3, [0] * 3)
 
 
+# one comparison rule, holds, for a Block's points and for NumericCheck
+
+NAN = float("nan")
+COMPARISONS = [
+    # (lhs, rhs, tolerance, holds)
+    (float("nan"), 1.0, 0, False),
+    (float("nan"), float("nan"), 0, False),
+    (float("nan"), float("nan"), 1e-8, False),
+    (NAN, NAN, 1e-8, False),  # equal as lists, since an element equals itself
+    (float("nan"), 1.0, math.inf, False),
+    (1.0, 1.5, 0.5, True),  # a difference exactly at the tolerance
+    (1.0, 1.5 + 2 ** -52, 0.5, False),
+    (Fraction(1, 3), Fraction(2, 6), 0, True),
+    (Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**30), 0, False),
+    ((3, -1), (3, -1), 0, True),  # tuple sides, as T2-vi's, at tolerance 0
+    ((3, -1), (3, 1), 0, False),
+]
+
+
+@pytest.mark.parametrize("lhs, rhs, tolerance, expected", COMPARISONS)
+def test_block_and_numeric_check_share_one_comparison_rule(lhs, rhs, tolerance, expected):
+    from polycoeffs.trinomial import NumericCheck
+
+    assert identities.holds(lhs, rhs, tolerance) is expected
+    assert NumericCheck("x", lhs, rhs, tolerance).passed is expected
+    report = _block_report(Block({"n": 1}, (), [lhs], [rhs], tolerance))
+    assert report.checked == 1
+    if expected:
+        assert report.failures == []
+    else:
+        # the sides themselves, since a NaN equals nothing
+        (failure,) = report.failures
+        assert failure["params"] == {"n": 1}
+        assert failure["lhs"] is lhs and failure["rhs"] is rhs
+
+
+def test_a_failing_numeric_block_renders_its_sides_to_twelve_digits():
+    report = _block_report(
+        Block({"n": 2, "t": 0.25}, (), [1 / 3], [2 / 3], 1e-10),
+        Block({"p": 1}, (), [Fraction(1, 3)], [Fraction(1, 2)]),
+    )
+    assert report.to_dict()["failures"] == [
+        {"params": {"n": 2, "t": 0.25}, "lhs": "0.333333333333", "rhs": "0.666666666667"},
+        {"params": {"p": 1}, "lhs": "1/3", "rhs": "1/2"},
+    ]
+
+
 # spot values quoted throughout the registry descriptions
 
 

@@ -191,13 +191,12 @@ def _integral_reference(n, k, m, panels=8):
 
 def test_integral_grid_is_bit_identical_to_per_k_quadrature():
     # sharing the samples over k keeps every product and the summation order
-    points = list(_integral_points())
-    assert len(points) == 238
-    for params, check in points:
-        assert check.passed
-        assert check.computed == _integral_reference(
-            params["n"], params["k"], params["m"]
-        )
+    blocks = list(_integral_points())
+    assert len(blocks) == 238
+    for block in blocks:
+        assert list(block.mismatches()) == []
+        params = block.params
+        assert block.lhs[0] == _integral_reference(params["n"], params["k"], params["m"])
     for n, k, m, panels in [(3, 4, 3, 8), (5, 1, 2, 3), (0, 2, 1, 8)]:
         check = integral_coeff(n, k, m, panels=panels)
         assert check.computed == _integral_reference(n, k, m, panels)
