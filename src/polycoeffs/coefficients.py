@@ -26,7 +26,6 @@ enumeration.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from .errors import NegativeN
 from .series import TruncatedSeries
@@ -111,24 +110,25 @@ def binom(n: int, k: int) -> int:
     return sign * math.comb(-n + k - 1, k)
 
 
-@lru_cache(maxsize=1 << 16)
-def _reduce_degree(n: int, k: int, m: int) -> int:
-    if k < 0:
-        return 0
-    if m == 1:
-        return binom(n, k)
-    total = 0
-    for i in range(-(-k // m), k + 1):
-        w = binom(n, i)
-        if w:
-            total += _reduce_degree(i, k - i, m - 1) * w
-    return total
+def _reduce_degree(n: int, k: int, m: int, memo: dict) -> int:
+    # branches meet three degrees down: (i, k-i, m-1), then (j, k-i-j, m-2),
+    # reach the same points of degree m - 3 wherever i + j agrees
+    if k < 0 or m == 1:
+        return binom(n, k)  # 0 for k < 0
+    if (n, k, m) not in memo:
+        total = 0
+        for i in range(-(-k // m), k + 1):
+            if w := binom(n, i):
+                total += w * _reduce_degree(i, k - i, m - 1, memo)
+        memo[n, k, m] = total
+    return memo[n, k, m]
 
 
 def coeff_by_binom_reduction(n: int, k: int, m: int) -> int:
-    """Recursive reduction in m down to plain binomials at m = 1."""
+    """Recursive reduction in m down to plain binomials at m = 1, each
+    point of the recursion evaluated once per call and nothing kept after."""
     _require_degree(m)
-    return _reduce_degree(n, k, m)
+    return _reduce_degree(n, k, m, {})
 
 
 def coeff_by_closed_form(n: int, k: int, m: int) -> int:

@@ -17,8 +17,10 @@ Grid conventions: degree m starts at 1; row indices run over both signs
 where an identity permits them; column indices sweep the natural support
 plus a margin of out-of-support points so the zero clauses are exercised.
 
-T2-iv, ID1 and ID6 form their left sides, and T2-v its right side, by
-Kronecker substitution: each row is packed into one integer with a slot of
+Six checkers form a convolution side by Kronecker substitution: T2-iii,
+T2-v, T2-vii and ID1 convolve one row with fixed weights through
+``_convolution_sides``, and T2-iv and ID6 reuse each product across pairs
+and windows.  Each factor is packed into one integer with a slot of
 ``_width`` bytes per coefficient, and one big-integer product gives every
 convolution sum at once; the product is exact because the width keeps every
 slot's sum strictly inside its signed range, so no slot carries into the
@@ -286,6 +288,14 @@ def _product_sides(
     )
 
 
+def _convolution_sides(values, weights, expected, ks) -> tuple[_Packed, _Packed]:
+    """Sides comparing entries ``ks`` of the lists ``values`` convolved with
+    ``weights``, the product first, with those of ``expected``."""
+    width = _width([values, weights], min(len(values), len(weights)))
+    product = _pack(values, width) * _pack(weights, width)
+    return _product_sides(product, width, expected, _key(expected, width), ks)
+
+
 # ---------------------------------------------------------------------------
 # checkers: a Block per swept row, or per degree m for one value per row n
 
@@ -298,14 +308,18 @@ def _n_block(m: int, ns, lhs: list, rhs: list) -> Block:
     return Block({"m": m, "n": ns}, ("n",), lhs, rhs)
 
 
-def _window_rows(m: int, ns) -> dict[int, list[int]]:
-    """Rows n and n - 1 for each n in ``ns``, each built once: a window
-    sweep reads both out to ``_k_last(n, m)``."""
-    limits: dict = {}
-    for n in ns:
-        for j in (n - 1, n):
-            limits[j] = max(limits.get(j, 0), _k_last(n, m))
-    return {j: row(j, m, limit) for j, limit in limits.items()}
+def _windows(grid) -> Iterator[tuple[int, int, range, list[int], list[int]]]:
+    """(m, n, ks, row n, row n - 1) over the grid, both rows read out to
+    ``_k_last(n, m)``; each row is built once per degree."""
+    for m in grid["m"]:
+        limits: dict = {}
+        for n in grid["n"]:
+            for j in (n - 1, n):
+                limits[j] = max(limits.get(j, 0), _k_last(n, m))
+        rows = {j: row(j, m, limit) for j, limit in limits.items()}
+        for n in grid["n"]:
+            last = _k_last(n, m)
+            yield m, n, _k_values(n, m), rows[n][: last + 1], rows[n - 1][: last + 1]
 
 
 _SIDES = ("first", "second")
@@ -337,14 +351,14 @@ def _check_symmetry(grid) -> Iterator[Block]:
 
 
 def _check_absorption(grid) -> Iterator[Block]:
-    for m in grid["m"]:
-        rows = _window_rows(m, grid["n"])
-        for n in grid["n"]:
-            ks = [k for k in _k_values(n, m) if k != 0]
-            values, prior = rows[n], rows[n - 1]
-            lhs = [k * _at(values, k) for k in ks]
-            rhs = [n * sum(i * _at(prior, k - i) for i in range(1, m + 1)) for k in ks]
-            yield _k_block(m, n, ks, lhs, rhs)
+    for m, n, ks, values, prior in _windows(grid):
+        # n * sum_i i <n-1,k-i> is row n - 1 times the weights n*i; k = 0 is
+        # no point, but the keys cover its slot, 0 on both sides
+        ks = [k for k in ks if k != 0]
+        weights = [n * i for i in range(m + 1)]
+        scaled = [k * c for k, c in enumerate(values)]
+        sums, expected = _convolution_sides(prior, weights, scaled, ks)
+        yield _k_block(m, n, ks, expected, sums)
 
 
 def _vandermonde_cap(r: int, s: int, m: int) -> int:
@@ -383,18 +397,10 @@ def _check_vandermonde(grid) -> Iterator[Block]:
 
 
 def _check_addition(grid) -> Iterator[Block]:
-    for m in grid["m"]:
-        rows = _window_rows(m, grid["n"])
-        ones = [1] * (m + 1)
-        for n in grid["n"]:
-            ks, last = _k_values(n, m), _k_last(n, m)
-            values, prior = rows[n][: last + 1], rows[n - 1][: last + 1]
-            # the sum over i <= m is row n - 1 times 1 + t + ... + t^m, each
-            # slot a sum of m + 1 entries of row n - 1
-            width = _width([prior], m + 1)
-            product = _pack(ones, width) * _pack(prior, width)
-            sums, expected = _product_sides(product, width, values, _key(values, width), ks)
-            yield _k_block(m, n, ks, expected, sums)
+    for m, n, ks, values, prior in _windows(grid):
+        # the sum over i <= m is row n - 1 times 1 + t + ... + t^m
+        sums, expected = _convolution_sides(prior, [1] * (m + 1), values, ks)
+        yield _k_block(m, n, ks, expected, sums)
 
 
 def _bivariate_mul(a: dict, b: dict) -> dict:
@@ -428,7 +434,6 @@ def _check_upper_summation(grid) -> Iterator[Block]:
         # row n + 1 is read out to entry m*n + margin + 1
         limit = m * max(ns) + SUPPORT_MARGIN + 1
         rows = [row(l, m, limit) for l in range(max(ns) + 2)]
-        weights = [chi(m - 1, i) for i in range(limit)]
         # column sums of rows 0..n, accumulated over n
         sums = [0] * (limit + 1)
         for n in range(max(ns) + 1):
@@ -436,9 +441,11 @@ def _check_upper_summation(grid) -> Iterator[Block]:
             if n not in ns:
                 continue
             ks = range(m * n + SUPPORT_MARGIN + 1)
-            upper = rows[n + 1]
-            rhs = [sum(weights[i] * upper[k - i + 1] for i in range(k + 1)) for k in ks]
-            yield _k_block(m, n, ks, sums[: len(ks)], rhs)
+            # sum_{i<=k} chi(m-1,i) <n+1,k-i+1> is the weights times row n + 1
+            # read from entry 1
+            upper, weights = rows[n + 1][1 : len(ks) + 1], [chi(m - 1, i) for i in ks]
+            products, expected = _convolution_sides(upper, weights, sums[: len(ks)], ks)
+            yield _k_block(m, n, ks, expected, products)
 
 
 def _check_parallel_summation(grid) -> Iterator[Block]:
@@ -473,16 +480,9 @@ def _check_horizontal(grid) -> Iterator[Block]:
 
 
 def _check_chi_convolution(grid) -> Iterator[Block]:
-    for m in grid["m"]:
-        rows = _window_rows(m, grid["n"])
-        for n in grid["n"]:
-            ks, last = _k_values(n, m), _k_last(n, m)
-            values, prior = rows[n][: last + 1], rows[n - 1][: last + 1]
-            weights = [chi(m, j) for j in range(last + 1)]
-            width = _width([weights, values], last + 1)
-            product = _pack(weights, width) * _pack(values, width)
-            sides = _product_sides(product, width, prior, _key(prior, width), ks)
-            yield _k_block(m, n, ks, *sides)
+    for m, n, ks, values, prior in _windows(grid):
+        weights = [chi(m, j) for j in range(len(values))]
+        yield _k_block(m, n, ks, *_convolution_sides(values, weights, prior, ks))
 
 
 def _check_f_numbers_column(grid) -> Iterator[Block]:

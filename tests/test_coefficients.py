@@ -187,6 +187,64 @@ def test_oracle_agreement_sampled():
                 assert multinomial_oracle(n, k, m) == coeff(n, k, m)
 
 
+def _package_calls(oracle):
+    """The polycoeffs functions that ``oracle`` runs at (5, 7, 3), and at
+    (-5, 7, 3) unless it needs n >= 0, as (module, qualified name) pairs."""
+    seen = set()
+
+    def profile(frame, event, arg):
+        module = frame.f_globals.get("__name__", "")
+        if event == "call" and module.startswith("polycoeffs"):
+            seen.add((module, frame.f_code.co_qualname))
+
+    sys.setprofile(profile)
+    try:
+        oracle(5, 7, 3)
+        if oracle is not multinomial_oracle:
+            oracle(-5, 7, 3)
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+REQUIRE_DEGREE = ("polycoeffs.coefficients", "_require_degree")
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (coeff_by_recurrence, coeff_by_series),
+        (coeff_by_recurrence, coeff_by_closed_form),
+        (coeff_by_recurrence, multinomial_oracle),
+        (coeff_by_series, coeff_by_closed_form),
+        (coeff_by_series, multinomial_oracle),
+        (coeff_by_closed_form, multinomial_oracle),
+    ],
+    ids=lambda oracle: oracle.__name__,
+)
+def test_independent_oracles_share_no_code_path(first, second):
+    # a cross-check means something only while no oracle runs another's code
+    assert _package_calls(first) & _package_calls(second) == {REQUIRE_DEGREE}
+
+
+def test_binom_reduction_shares_only_binom_with_the_closed_form():
+    shared = _package_calls(coeff_by_closed_form) & _package_calls(coeff_by_binom_reduction)
+    assert shared == {REQUIRE_DEGREE, ("polycoeffs.coefficients", "binom")}
+
+
+def test_binom_reduction_keeps_nothing_between_calls():
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert coeff_by_binom_reduction(-20, 60, 6) == coeff_by_closed_form(-20, 60, 6)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 16 * 1024
+
+
 def pascal_row(n, m, length):
     """Row n, k = 0..length-1, by Pascal's rule alone: row 0 convolved n times
     with 1 + t + ... + t^m, or deconvolved -n times (a left-to-right solve,

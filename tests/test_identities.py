@@ -345,7 +345,7 @@ def test_offsets_that_cancel_in_the_packed_row_are_still_reported(monkeypatch):
         monkeypatch.undo()
 
 
-@pytest.mark.parametrize("identity_id", ["T2-iv", "T2-v", "ID1", "ID6"])
+@pytest.mark.parametrize("identity_id", ["T2-iii", "T2-iv", "T2-v", "T2-vii", "ID1", "ID6"])
 def test_correct_rows_are_never_decoded(monkeypatch, identity_id):
     # a key that differed for correct rows would still pass, by decoding
     # every block, so equal keys are checked directly
@@ -356,6 +356,36 @@ def test_correct_rows_are_never_decoded(monkeypatch, identity_id):
     spec = next(s for s in build_registry("desk") if s.id == identity_id)
     report = run_identity(spec)
     assert report.passed and report.checked == CHECKED["desk"][identity_id]
+
+
+def _window_failures(grid, m, read_row, sides):
+    """Failures of a window sweep at degree m, as a point-by-point list
+    comparison: ``sides(n, k, row n, row n - 1)`` gives both sides of a
+    point, or None where k is no point."""
+    failures = []
+    for n in grid["n"]:
+        last = m * abs(n) + 5
+        values, prior = read_row(n, m, last), read_row(n - 1, m, last)
+        for k in range(-2, last + 1):
+            point = sides(n, k, values, prior)
+            if point is not None and point[0] != point[1]:
+                params = {"m": m, "n": n, "k": k}
+                failures.append({"params": params, "lhs": point[0], "rhs": point[1]})
+    return failures
+
+
+def _absorption_sides(n, k, values, prior):
+    if k != 0:
+        return k * _at(values, k), n * sum(i * _at(prior, k - i) for i in range(1, 7))
+
+
+def _addition_sides(n, k, values, prior):
+    return _at(values, k), sum(_at(prior, k - i) for i in range(7))
+
+
+def _chi_convolution_sides(n, k, values, prior):
+    lhs = sum(chi(6, j) * _at(values, k - j) for j in range(k + 1))
+    return lhs, _at(prior, k)
 
 
 def test_an_entry_only_the_deep_grid_reads_is_reported_as_a_list_comparison_would(
@@ -369,18 +399,32 @@ def test_an_entry_only_the_deep_grid_reads_is_reported_as_a_list_comparison_woul
     expected = _vandermonde_failures(specs["T2-iv"].grid, 6, read_row, {-14})
     assert expected and vandermonde.failures == expected
 
-    chi_convolution = run_identity(specs["ID1"])
+    windows = {
+        "T2-iii": _absorption_sides,
+        "T2-v": _addition_sides,
+        "ID1": _chi_convolution_sides,
+    }
+    for identity_id, sides in windows.items():
+        expected = _window_failures(specs[identity_id].grid, 6, read_row, sides)
+        # row -14 is row n at n = -14 and row n - 1 at n = -13
+        assert {f["params"]["n"] for f in expected} == {-14, -13}, identity_id
+        assert run_identity(specs[identity_id]).failures == expected, identity_id
+
+    # T2-vii reads rows 0..15 only: <14,80>_6 is in the column sums at n = 14
+    # and in row n + 1 at n = 13
+    monkeypatch.undo()
+    read_row = _skew(monkeypatch, {(14, 6): {80: 1}})
     expected = []
-    for n in specs["ID1"].grid["n"]:
-        last = 6 * abs(n) + 5
-        values, prior = read_row(n, 6, last), read_row(n - 1, 6, last)
-        lhs = _schoolbook([chi(6, j) for j in range(last + 1)], values)
-        for k in range(-2, last + 1):
-            if _at(lhs, k) != _at(prior, k):
+    for n in specs["T2-vii"].grid["n"]:
+        rows = [read_row(j, 6, 6 * 14 + 6) for j in range(n + 2)]
+        for k in range(6 * n + 6):
+            lhs = sum(values[k] for values in rows[: n + 1])
+            rhs = sum(chi(5, i) * rows[n + 1][k - i + 1] for i in range(k + 1))
+            if lhs != rhs:
                 params = {"m": 6, "n": n, "k": k}
-                expected.append({"params": params, "lhs": _at(lhs, k), "rhs": _at(prior, k)})
-    assert {f["params"]["n"] for f in expected} == {-14, -13}
-    assert chi_convolution.failures == expected
+                expected.append({"params": params, "lhs": lhs, "rhs": rhs})
+    assert {f["params"]["n"] for f in expected} == {13, 14}
+    assert run_identity(specs["T2-vii"]).failures == expected
 
 
 # blocks: many grid points with their two sides as two lists
