@@ -149,8 +149,14 @@ def coeff(n: int, k: int, m: int) -> int:
 
 
 def row(n: int, m: int, limit: int) -> list[int]:
-    """Coefficients of row n for k = 0..limit, zero-padded beyond the support."""
-    _require_degree(m)
+    """Coefficients of row n for k = 0..limit, zero-padded beyond the support.
+
+    Degree 0 is allowed: the base polynomial is then the constant 1, so every
+    row of degree 0, of either sign, is 1, 0, 0, ...  Identities that step the
+    degree down read it here.
+    """
+    if m < 0:
+        raise ValueError("m must be non-negative")
     if limit < 0:
         raise ValueError("limit must be non-negative")
     width = limit if n < 0 else min(limit, m * n)

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coefficients import _require_degree, coeff
+from .coefficients import _require_degree, coeff, row
 from .errors import MismatchError
 from .series import IntPolynomial, TruncatedSeries, solve_carlitz_y
 
@@ -51,13 +51,6 @@ def pk_by_recurrence(m: int, k: int) -> IntPolynomial:
     return _pk_list(m, k)[k]
 
 
-def _coeff_allowing_degenerate(n: int, k: int, m: int) -> int:
-    # degree 0 means the base polynomial is the constant 1
-    if m == 0:
-        return 1 if k == 0 else 0
-    return coeff(n, k, m)
-
-
 def pk_by_explicit(m: int, k: int) -> IntPolynomial:
     """The k-th column polynomial from its closed sum,
     sum_i <i, k-i>_{m-1} x^i (1-x)^(k-i) with i running from ceil(k/m) to k."""
@@ -67,7 +60,7 @@ def pk_by_explicit(m: int, k: int) -> IntPolynomial:
     one_minus_x = IntPolynomial([1, -1])
     total = IntPolynomial()
     for i in range(-(-k // m), k + 1):
-        c = _coeff_allowing_degenerate(i, k - i, m - 1)
+        c = row(i, m - 1, k - i)[k - i]
         if c:
             total = total + (one_minus_x ** (k - i) * c).shifted(i)
     return total
@@ -102,6 +95,24 @@ def pk_gf_check(m: int, order_y: int) -> bool:
         if lhs != expected:
             return False
     return True
+
+
+def _require_agreement(
+    series: TruncatedSeries, expected, what: str, params: dict, index: str
+) -> None:
+    """Raise ``MismatchError`` at the first power of x where ``series``
+    differs from ``expected``, the directly computed coefficients in order;
+    its params are ``params`` plus that power under the name ``index``."""
+    for i, want in enumerate(expected):
+        if series[i] != want:
+            fixed = ", ".join(f"{key}={value}" for key, value in params.items())
+            raise MismatchError(
+                f"{what} ({fixed}) disagrees at x^{i}: "
+                f"series gives {series[i]}, direct computation gives {want}",
+                params={**params, index: i},
+                computed=series[i],
+                expected=want,
+            )
 
 
 @dataclass(frozen=True)
@@ -141,15 +152,7 @@ def column_gf(k: int, m: int, sign: str, order: int) -> ColumnGF:
         if k & 1:
             series = -series
         expected = [0] + [coeff(-n, k, m) for n in range(1, order + 1)]
-    for n, want in enumerate(expected):
-        if series[n] != want:
-            raise MismatchError(
-                f"column GF (k={k}, m={m}, sign={sign}) disagrees at x^{n}: "
-                f"series gives {series[n]}, direct computation gives {want}",
-                params={"k": k, "m": m, "sign": sign, "n": n},
-                computed=series[n],
-                expected=want,
-            )
+    _require_agreement(series, expected, "column GF", {"k": k, "m": m, "sign": sign}, "n")
     return ColumnGF(k, m, sign, series)
 
 
@@ -228,16 +231,8 @@ def carlitz_gf(a: int, b: int, m: int, order: int) -> TruncatedSeries:
     py = pm.compose(y)
     denominator = py - (y * pm_prime.compose(y)) * b
     series = (py ** (a + 1)) * denominator.inverse()
-    for j in range(order + 1):
-        want = coeff(a + b * j, j, m)
-        if series[j] != want:
-            raise MismatchError(
-                f"diagonal GF (a={a}, b={b}, m={m}) disagrees at x^{j}: "
-                f"series gives {series[j]}, direct computation gives {want}",
-                params={"a": a, "b": b, "m": m, "j": j},
-                computed=series[j],
-                expected=want,
-            )
+    expected = (coeff(a + b * j, j, m) for j in range(order + 1))
+    _require_agreement(series, expected, "diagonal GF", {"a": a, "b": b, "m": m}, "j")
     return series
 
 

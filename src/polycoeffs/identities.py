@@ -16,6 +16,10 @@ yield one-point blocks with a tolerance, which ``holds`` applies.
 Grid conventions: degree m starts at 1; row indices run over both signs
 where an identity permits them; column indices sweep the natural support
 plus a margin of out-of-support points so the zero clauses are exercised.
+``_k_last`` owns that window's end.  ``_windows`` feeds every checker that
+sweeps k over one row's window (T2-i, T2-ii, T2-iii, T2-v, T2-ix and ID1),
+building each row once per degree; T2-vii and ID10 read their ends from
+``_k_last`` too.
 
 Six checkers form a convolution side by Kronecker substitution: T2-iii,
 T2-v, T2-vii and ID1 convolve one row with fixed weights through
@@ -45,7 +49,7 @@ from fractions import Fraction
 from typing import Any, Callable, Collection, Iterator, Mapping
 
 from .coefficients import binom, chi, coeff, multinomial_oracle, row
-from .genfun import pk_by_recurrence
+from .genfun import _pk_list
 
 
 def holds(lhs, rhs, tolerance: float = 0) -> bool:
@@ -333,21 +337,15 @@ def _interleave(first: list, second: list) -> list:
 
 
 def _check_factorial_expansion(grid) -> Iterator[Block]:
-    for m in grid["m"]:
-        for n in grid["n"]:
-            ks = _k_values(n, m)
-            values = row(n, m, _k_last(n, m))
-            lhs = [multinomial_oracle(n, k, m) if k >= 0 else 0 for k in ks]
-            yield _k_block(m, n, ks, lhs, [_at(values, k) for k in ks])
+    for m, n, ks, values, _ in _windows(grid):
+        lhs = [multinomial_oracle(n, k, m) if k >= 0 else 0 for k in ks]
+        yield _k_block(m, n, ks, lhs, _entries(values, ks))
 
 
 def _check_symmetry(grid) -> Iterator[Block]:
-    for m in grid["m"]:
-        for n in grid["n"]:
-            ks = _k_values(n, m)
-            values = row(n, m, _k_last(n, m))
-            lhs = [_at(values, k) for k in ks]
-            yield _k_block(m, n, ks, lhs, [_at(values, m * n - k) for k in ks])
+    for m, n, ks, values, _ in _windows(grid):
+        rhs = _entries(values, [m * n - k for k in ks])
+        yield _k_block(m, n, ks, _entries(values, ks), rhs)
 
 
 def _check_absorption(grid) -> Iterator[Block]:
@@ -431,8 +429,8 @@ def _check_binomial_theorem(grid) -> Iterator[Block]:
 def _check_upper_summation(grid) -> Iterator[Block]:
     ns = grid["n"]
     for m in grid["m"]:
-        # row n + 1 is read out to entry m*n + margin + 1
-        limit = m * max(ns) + SUPPORT_MARGIN + 1
+        # row n + 1 is read out to entry _k_last(n, m) + 1
+        limit = _k_last(max(ns), m) + 1
         rows = [row(l, m, limit) for l in range(max(ns) + 2)]
         # column sums of rows 0..n, accumulated over n
         sums = [0] * (limit + 1)
@@ -440,7 +438,7 @@ def _check_upper_summation(grid) -> Iterator[Block]:
             sums = [a + b for a, b in zip(sums, rows[n])]
             if n not in ns:
                 continue
-            ks = range(m * n + SUPPORT_MARGIN + 1)
+            ks = range(_k_last(n, m) + 1)
             # sum_{i<=k} chi(m-1,i) <n+1,k-i+1> is the weights times row n + 1
             # read from entry 1
             upper, weights = rows[n + 1][1 : len(ks) + 1], [chi(m - 1, i) for i in ks]
@@ -468,15 +466,12 @@ def _check_parallel_summation(grid) -> Iterator[Block]:
 
 
 def _check_horizontal(grid) -> Iterator[Block]:
-    for m in grid["m"]:
-        for n in grid["n"]:
-            ks = _k_values(n, m)
-            values = row(n, m, _k_last(n, m))
-            rhs = [
-                sum(((n + 1) * i - k) * _at(values, k - i) for i in range(1, m + 1))
-                for k in ks
-            ]
-            yield _k_block(m, n, ks, [k * _at(values, k) for k in ks], rhs)
+    for m, n, ks, values, _ in _windows(grid):
+        rhs = [
+            sum(((n + 1) * i - k) * _at(values, k - i) for i in range(1, m + 1))
+            for k in ks
+        ]
+        yield _k_block(m, n, ks, [k * _at(values, k) for k in ks], rhs)
 
 
 def _check_chi_convolution(grid) -> Iterator[Block]:
@@ -489,6 +484,7 @@ def _check_f_numbers_column(grid) -> Iterator[Block]:
     half = Fraction(1, 2)
     ns = grid["n"]
     for m in grid["m"]:
+        ps = _pk_list(m, max(ns))
         f_rec = []
         for n in range(max(ns) + 1):
             if n <= 1:
@@ -496,7 +492,7 @@ def _check_f_numbers_column(grid) -> Iterator[Block]:
             else:
                 lag = f_rec[n - m - 1] if n - m - 1 >= 0 else 0
                 f_rec.append(2 * f_rec[n - 1] - lag)
-        lhs = [2 ** (n + 1) * pk_by_recurrence(m, n)(half) for n in ns]
+        lhs = [2 ** (n + 1) * ps[n](half) for n in ns]
         yield _n_block(m, ns, lhs, [2 * f_rec[n] for n in ns])
 
 
@@ -636,19 +632,12 @@ def _alternating_square_sum(values: list[int]) -> int:
 def _alternating_square_closed_form(m: int, n: int) -> int:
     if (m * n) & 1:
         return 0
+    half = m * n // 2
     if m % 2 == 0:
-        return coeff(n, m * n // 2, m)
-    half_degree = (m - 1) // 2
-    # degree 0 means the base polynomial is the constant 1
+        return coeff(n, half, m)
+    values = row(2 * n, (m - 1) // 2, half)
     return sum(
-        (-1 if i & 1 else 1)
-        * binom(n, i)
-        * (
-            coeff(2 * n, m * n // 2 - i, half_degree)
-            if half_degree
-            else int(m * n // 2 == i)
-        )
-        for i in range(n + 1)
+        (-1 if i & 1 else 1) * binom(n, i) * _at(values, half - i) for i in range(n + 1)
     )
 
 
@@ -679,19 +668,15 @@ def _taylor_shift(values: list[int]) -> list[int]:
 def _check_binomial_weightings(grid) -> Iterator[Block]:
     ns = grid["n"]
     for m in grid["m"]:
-        limit = m * max(ns) + SUPPORT_MARGIN
+        limit = _k_last(max(ns), m)
         rows = [row(l, m, limit) for l in range(max(ns) + 1)]
-        # degree 0 means the base polynomial is the constant 1
-        lower = [
-            row(j, m - 1, limit) if m > 1 else [1] + [0] * limit
-            for j in range(max(ns) + 1)
-        ]
+        lower = [row(j, m - 1, limit) for j in range(max(ns) + 1)]
         pascal = [
             [math.comb((m + 1) * j, i) for i in range((m + 1) * j + 1)]
             for j in range(max(ns) + 1)
         ]
         for n in ns:
-            ks = range(m * n + SUPPORT_MARGIN + 1)
+            ks = range(_k_last(n, m) + 1)
             weights = [binom(n, j) for j in range(n + 1)]
             doubled = [2 ** (n - j) * weights[j] for j in range(n + 1)]
             signed = [(-1 if (n - j) & 1 else 1) * weights[j] for j in range(n + 1)]

@@ -6,7 +6,7 @@ import threading
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polycoeffs import coefficients, series
@@ -134,6 +134,19 @@ def test_rows_pad_with_zeros():
 def test_row_rejects_negative_limit():
     with pytest.raises(ValueError):
         row(1, 2, -1)
+
+
+@pytest.mark.parametrize("n", [-9, -1, 0, 1, 7])
+def test_degree_zero_rows_are_the_constant_one(n):
+    # (1)^n = 1 for every n; the identities that step the degree down read it
+    for limit in (0, 1, 12):
+        assert row(n, 0, limit) == [1] + [0] * limit
+
+
+@pytest.mark.parametrize("n", [-3, 0, 3])
+def test_row_rejects_negative_degree(n):
+    with pytest.raises(ValueError):
+        row(n, -1, 4)
 
 
 @given(st.integers(0, 8), st.integers(1, 5))
@@ -277,6 +290,24 @@ def test_differential_against_independent_oracles(n, m, data):
     if abs(n) <= 12 and k <= 40:
         assert coeff_by_binom_reduction(n, k, m) == expected
     if 0 <= n <= 6:
+        assert multinomial_oracle(n, k, m) == expected
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.integers(1, 6), st.booleans(), st.data())
+def test_sampled_oracles_agree(m, far, data):
+    # the oracles that share no code path, on rows near 0 across the whole
+    # window and on far rows of both signs at small k
+    if far:
+        n = data.draw(st.integers(-10 ** 5, 10 ** 5), label="n")
+        k = data.draw(st.integers(-1, 30), label="k")
+    else:
+        n = data.draw(st.integers(-30, 30), label="n")
+        k = data.draw(st.integers(-1, m * abs(n) + 5), label="k")
+    expected = coeff_by_closed_form(n, k, m)
+    assert coeff_by_recurrence(n, k, m) == expected
+    assert coeff_by_series(n, k, m) == expected
+    if 0 <= n <= 8:
         assert multinomial_oracle(n, k, m) == expected
 
 

@@ -6,10 +6,17 @@ package against code that shares none of its algorithms.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
 
+from sympy.polys.domains import QQ
+from sympy.polys.ring_series import rs_pow, rs_series_inversion
+from sympy.polys.rings import ring
+
 from polycoeffs import coeff, gegenbauer, pk_by_recurrence
+from polycoeffs.coefficients import coeff_by_closed_form, coeff_by_series
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -26,6 +33,32 @@ def test_coefficients_match_sympy_series(m, n):
     for k in range(order):
         want = poly.coeff_monomial(t ** k) if k <= poly.degree() else 0
         assert coeff(n, k, m) == int(want), (m, n, k)
+
+
+def _sympy_coeff(n, k, m):
+    """[t^k] (1 + t + ... + t^m)^n by sympy's sparse ring series over QQ."""
+    ring_, t = ring("t", QQ)
+    base = sum((t ** i for i in range(m + 1)), ring_(0))
+    if n < 0:
+        base, n = rs_series_inversion(base, t, k + 1), -n
+    return int(rs_pow(base, n, t, k + 1).coeff(t ** k))
+
+
+# sympy.series costs 0.1-0.2 s a call even at |n| <= 9; the ring series
+# costs milliseconds, so it can follow the sampled queries out to far rows
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 6), st.booleans(), st.data())
+def test_sampled_coefficients_match_sympy_ring_series(m, far, data):
+    if far:
+        n = data.draw(st.integers(-10 ** 5, 10 ** 5), label="n")
+        k = data.draw(st.integers(0, 30), label="k")
+    else:
+        n = data.draw(st.integers(-60, 60), label="n")
+        k = data.draw(st.integers(0, min(m * abs(n) + 5, 80)), label="k")
+    want = _sympy_coeff(n, k, m)
+    assert coeff(n, k, m) == want
+    assert coeff_by_series(n, k, m) == want
+    assert coeff_by_closed_form(n, k, m) == want
 
 
 @pytest.mark.parametrize("alpha", [1, 2, 3])

@@ -1,6 +1,7 @@
 """Tests for the identity registry, its reports, and its exact helpers."""
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -356,6 +357,24 @@ def test_correct_rows_are_never_decoded(monkeypatch, identity_id):
     spec = next(s for s in build_registry("desk") if s.id == identity_id)
     report = run_identity(spec)
     assert report.passed and report.checked == CHECKED["desk"][identity_id]
+
+
+@pytest.mark.parametrize("identity_id", ["T2-i", "T2-ii", "T2-iii", "T2-v", "T2-ix", "ID1"])
+def test_windowed_checkers_build_each_row_once(monkeypatch, identity_id):
+    # every row comes from _windows: rows n and n - 1 of each grid n, once per degree
+    built = Counter()
+    exact_row = identities.row
+
+    def counting_row(n, m, limit):
+        built[n, m] += 1
+        return exact_row(n, m, limit)
+
+    monkeypatch.setattr(identities, "row", counting_row)
+    spec = next(s for s in build_registry("quick") if s.id == identity_id)
+    assert run_identity(spec).passed
+    grid = spec.grid
+    windows = {(j, m) for m in grid["m"] for n in grid["n"] for j in (n - 1, n)}
+    assert built == Counter(windows)
 
 
 def _window_failures(grid, m, read_row, sides):
