@@ -152,6 +152,7 @@ def cli(ctx):
 def cmd_coeff(n, k, m, fmt):
     """Print one coefficient exactly."""
     # for n >= 0, coeff reads <n,k> from the shorter side of the row
+    # for n < 0 the bound stays at k + 1, though that kernel now costs less
     prefix = k + 1 if n < 0 else min(k, m * n - k) + 1
     _check_bounds(abs(n), m, prefix)
     bits = _value_bits(n, m, k)

@@ -3,22 +3,29 @@
 ``coeff(n, k, m)`` is the coefficient of t^k in (1 + t + ... + t^m)^n for any
 integer n (negative included), with the convention that it is 0 for k < 0.
 
-The default path computes row prefixes by the paper's horizontal recurrence
-T2-ix, k<n,k> = sum_{i<=m} ((n+1)i - k) <n,k-i>, in its own kernel
+``row`` computes row prefixes by the paper's horizontal recurrence T2-ix,
+k<n,k> = sum_{i<=m} ((n+1)i - k) <n,k-i>, in its own kernel
 (``_row_prefix``).  Since every coefficient of 1 + t + ... + t^m is 1, the
 sum is (n+1) W - k S over the window b_{k-m} .. b_{k-1}, with
 S = sum_i b_{k-i} and W = sum_i i b_{k-i}, and both sums move from one k to
 the next in O(1).  It needs no earlier row, so a prefix of length k of any
 row, of either sign, costs O(k) operations on integers, and nothing is kept
-between calls.  For n >= 0, ``coeff`` reads <n,k> as <n,mn-k> past the
-middle of the row, so it builds at most half of it; ``row`` does not
-mirror, so row symmetry (T2-ii) stays a check of the kernel.
+between calls.
+
+``coeff`` picks its kernel by the sign of n.  For n >= 0 it runs the same
+recurrence and reads <n,k> as <n,mn-k> past the middle of the row, so it
+builds at most half of it, at most mn/2 + 1 steps; ``row`` does not mirror,
+so row symmetry (T2-ii) stays a check of the kernel.  For n = -p < 0 it
+reads <n,k> from the factorisation (1 - t)^p (1 - t^(m+1))^(-p)
+(``_negative_row_coeff``): the first factor has only p + 1 terms, so the sum
+has at most min(p, k)/(m+1) + 1 terms, each stepped from the one before, and
+its length stops growing with k once k passes p.
 
 Direct series expansion (``coeff_by_series``) goes through J.C.P. Miller's
 rule for powers of a series (``series.power``), the general form of T2-ix
-with one multiply-add per term of the base, which shares no code with the
-kernel and so cross-checks it.  The oracles that share no code path with
-either are the closed form
+with one multiply-add per term of the base, which shares no code with
+either kernel and so cross-checks them.  The oracles that share no code
+path with any of these are the closed form
 sum_j (-1)^j C(n,j) C(n+k-j(m+1)-1, k-j(m+1)), the recursive reduction of
 the degree m down to ordinary binomials, and (for n >= 0) the multinomial
 enumeration.
@@ -77,8 +84,8 @@ def _row_prefix(n: int, m: int, length: int) -> list[int]:
 
 
 def coeff_by_recurrence(n: int, k: int, m: int) -> int:
-    """The row recurrence T2-ix (the default path), from the short side of
-    the row when n >= 0."""
+    """The row recurrence T2-ix, from the short side of the row when
+    n >= 0 (the default path there)."""
     _require_degree(m)
     if k < 0 or (n >= 0 and k > m * n):
         return 0
@@ -143,8 +150,46 @@ def coeff_by_closed_form(n: int, k: int, m: int) -> int:
     return total
 
 
+def _negative_row_coeff(n: int, k: int, m: int) -> int:
+    """<n,k> for n = -p < 0 from (1 - t)^p (1 - t^(m+1))^(-p).
+
+    This is the closed form sum_j (-1)^j C(n,j) C(n+r-1, r), r = k - j(m+1),
+    over the j where C(n+r-1, r) = (-1)^r C(p, r) is nonzero, 0 <= r <= p:
+    at most min(p, k)/(m+1) + 1 terms.  Each term follows from the one
+    before as term * (j - n) prod_{i<=m} (r - i) over
+    (j + 1) prod_{i<=m} (n + r - 1 - i), both products of small integers;
+    the division is exact.
+    """
+    _require_degree(m)
+    step = m + 1
+    first = max(0, -((n + k) // -step))  # ceil((k - p) / (m+1))
+    last = k // step
+    if first > last:
+        return 0
+    r = k - first * step
+    term = math.comb(first - n - 1, first) * math.comb(-n, r)
+    if r & 1:
+        term = -term
+    total = term
+    for j in range(first, last):
+        numerator = j - n
+        denominator = j + 1
+        for i in range(step):
+            numerator *= r - i
+            denominator *= n + r - 1 - i
+        term = term * numerator // denominator
+        r -= step
+        total += term
+    return total
+
+
 def coeff(n: int, k: int, m: int) -> int:
-    """The default algorithm: the row recurrence T2-ix."""
+    """The default algorithm, by the sign of n: for n >= 0 the row
+    recurrence T2-ix from the short side of the row, at most mn/2 + 1 steps;
+    for n < 0 the finite factor (1 - t)^|n|, at most min(|n|, k)/(m+1) + 1
+    terms."""
+    if n < 0:
+        return _negative_row_coeff(n, k, m)
     return coeff_by_recurrence(n, k, m)
 
 

@@ -3,6 +3,7 @@ import gc
 import math
 import sys
 import threading
+import time
 import tracemalloc
 
 import pytest
@@ -112,6 +113,8 @@ def test_degree_rejected_below_one():
     ):
         with pytest.raises(ValueError):
             fn(1, 1, 0)
+        with pytest.raises(ValueError):
+            fn(-1, 1, 0)
 
 
 def test_binom_upper_negation():
@@ -200,9 +203,9 @@ def test_oracle_agreement_sampled():
                 assert multinomial_oracle(n, k, m) == coeff(n, k, m)
 
 
-def _package_calls(oracle):
-    """The polycoeffs functions that ``oracle`` runs at (5, 7, 3), and at
-    (-5, 7, 3) unless it needs n >= 0, as (module, qualified name) pairs."""
+def _package_calls(oracle, points=((5, 7, 3), (-5, 7, 3))):
+    """The polycoeffs functions that ``oracle`` runs at ``points``, skipping
+    n < 0 where it needs n >= 0, as (module, qualified name) pairs."""
     seen = set()
 
     def profile(frame, event, arg):
@@ -212,9 +215,9 @@ def _package_calls(oracle):
 
     sys.setprofile(profile)
     try:
-        oracle(5, 7, 3)
-        if oracle is not multinomial_oracle:
-            oracle(-5, 7, 3)
+        for n, k, m in points:
+            if n >= 0 or oracle is not multinomial_oracle:
+                oracle(n, k, m)
     finally:
         sys.setprofile(None)
     return seen
@@ -238,6 +241,19 @@ REQUIRE_DEGREE = ("polycoeffs.coefficients", "_require_degree")
 def test_independent_oracles_share_no_code_path(first, second):
     # a cross-check means something only while no oracle runs another's code
     assert _package_calls(first) & _package_calls(second) == {REQUIRE_DEGREE}
+
+
+@pytest.mark.parametrize(
+    "oracle",
+    [coeff_by_recurrence, coeff_by_series, coeff_by_closed_form],
+    ids=lambda oracle: oracle.__name__,
+)
+def test_default_path_for_negative_rows_shares_no_code_path(oracle):
+    # for n < 0, coeff is a fourth algorithm: k inside and past the first
+    # factor's p + 1 terms
+    negative = _package_calls(coeff, [(-5, 7, 3), (-5, 40, 3)])
+    assert negative & _package_calls(oracle) == {REQUIRE_DEGREE}
+    assert ("polycoeffs.coefficients", "binom") not in negative
 
 
 def test_binom_reduction_shares_only_binom_with_the_closed_form():
@@ -294,17 +310,23 @@ def test_differential_against_independent_oracles(n, m, data):
 
 
 @settings(deadline=None, max_examples=500)
-@given(st.integers(1, 6), st.booleans(), st.data())
-def test_sampled_oracles_agree(m, far, data):
-    # the oracles that share no code path, on rows near 0 across the whole
-    # window and on far rows of both signs at small k
-    if far:
+@given(st.integers(1, 6), st.sampled_from(["near", "far", "long"]), st.data())
+def test_sampled_oracles_agree(m, region, data):
+    # the oracles that share no code path, and the default path, on rows near
+    # 0 across the whole window, on far rows of both signs at small k, and on
+    # near rows far past the window, where a negative row's terms are bounded
+    # by |n| and not by k
+    if region == "far":
         n = data.draw(st.integers(-10 ** 5, 10 ** 5), label="n")
         k = data.draw(st.integers(-1, 30), label="k")
+    elif region == "long":
+        n = data.draw(st.integers(-12, 12), label="n")
+        k = data.draw(st.integers(-1, 3000), label="k")
     else:
         n = data.draw(st.integers(-30, 30), label="n")
         k = data.draw(st.integers(-1, m * abs(n) + 5), label="k")
     expected = coeff_by_closed_form(n, k, m)
+    assert coeff(n, k, m) == expected
     assert coeff_by_recurrence(n, k, m) == expected
     assert coeff_by_series(n, k, m) == expected
     if 0 <= n <= 8:
@@ -317,6 +339,22 @@ def test_sampled_oracles_agree(m, far, data):
 def test_coeff_far_rows(n, k, expected):
     # one coefficient of a far row costs O(k), whatever |n| is
     assert coeff(n, k, 2) == expected
+
+
+def test_negative_row_cost_is_bounded_by_n_not_k():
+    # (1 - t)^3 (1 - t^3)^(-3): r = 0..3 from the first factor, and
+    # C(j + 2, 2) at t^(3j) from the second
+    k = 10 ** 7
+    expected = sum(
+        (-1) ** r * math.comb(3, r) * math.comb((k - r) // 3 + 2, 2)
+        for r in range(4)
+        if (k - r) % 3 == 0
+    )
+    start = time.perf_counter()
+    value = coeff(-3, k, 2)
+    elapsed = time.perf_counter() - start
+    assert value == expected
+    assert elapsed < 0.05
 
 
 @given(
