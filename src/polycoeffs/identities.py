@@ -18,7 +18,8 @@ where an identity permits them; column indices sweep the natural support
 plus a margin of out-of-support points so the zero clauses are exercised.
 ``_k_last`` owns that window's end.  ``_windows`` feeds every checker that
 sweeps k over one row's window (T2-i, T2-ii, T2-iii, T2-v, T2-ix and ID1),
-building each row once per degree; T2-vii and ID10 read their ends from
+building each row once per degree, and row n - 1 only for the three that
+read it (T2-iii, T2-v and ID1); T2-vii and ID10 read their ends from
 ``_k_last`` too.
 
 Six checkers form a convolution side by Kronecker substitution: T2-iii,
@@ -312,18 +313,23 @@ def _n_block(m: int, ns, lhs: list, rhs: list) -> Block:
     return Block({"m": m, "n": ns}, ("n",), lhs, rhs)
 
 
-def _windows(grid) -> Iterator[tuple[int, int, range, list[int], list[int]]]:
+def _windows(
+    grid, prior: bool = False
+) -> Iterator[tuple[int, int, range, list[int], list[int]]]:
     """(m, n, ks, row n, row n - 1) over the grid, both rows read out to
-    ``_k_last(n, m)``; each row is built once per degree."""
+    ``_k_last(n, m)``; each row is built once per degree.  Row n - 1 is
+    built only for a checker that reads it (``prior``), and is [] otherwise."""
+    lags = (0, 1) if prior else (0,)
     for m in grid["m"]:
         limits: dict = {}
         for n in grid["n"]:
-            for j in (n - 1, n):
-                limits[j] = max(limits.get(j, 0), _k_last(n, m))
+            for j in lags:
+                limits[n - j] = max(limits.get(n - j, 0), _k_last(n, m))
         rows = {j: row(j, m, limit) for j, limit in limits.items()}
         for n in grid["n"]:
             last = _k_last(n, m)
-            yield m, n, _k_values(n, m), rows[n][: last + 1], rows[n - 1][: last + 1]
+            before = rows[n - 1][: last + 1] if prior else []
+            yield m, n, _k_values(n, m), rows[n][: last + 1], before
 
 
 _SIDES = ("first", "second")
@@ -349,7 +355,7 @@ def _check_symmetry(grid) -> Iterator[Block]:
 
 
 def _check_absorption(grid) -> Iterator[Block]:
-    for m, n, ks, values, prior in _windows(grid):
+    for m, n, ks, values, prior in _windows(grid, prior=True):
         # n * sum_i i <n-1,k-i> is row n - 1 times the weights n*i; k = 0 is
         # no point, but the keys cover its slot, 0 on both sides
         ks = [k for k in ks if k != 0]
@@ -395,7 +401,7 @@ def _check_vandermonde(grid) -> Iterator[Block]:
 
 
 def _check_addition(grid) -> Iterator[Block]:
-    for m, n, ks, values, prior in _windows(grid):
+    for m, n, ks, values, prior in _windows(grid, prior=True):
         # the sum over i <= m is row n - 1 times 1 + t + ... + t^m
         sums, expected = _convolution_sides(prior, [1] * (m + 1), values, ks)
         yield _k_block(m, n, ks, expected, sums)
@@ -475,7 +481,7 @@ def _check_horizontal(grid) -> Iterator[Block]:
 
 
 def _check_chi_convolution(grid) -> Iterator[Block]:
-    for m, n, ks, values, prior in _windows(grid):
+    for m, n, ks, values, prior in _windows(grid, prior=True):
         weights = [chi(m, j) for j in range(len(values))]
         yield _k_block(m, n, ks, *_convolution_sides(values, weights, prior, ks))
 

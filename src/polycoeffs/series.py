@@ -18,6 +18,11 @@ from .errors import NonzeroInnerConstant, ZeroConstantTerm
 Scalar = Union[int, Fraction]
 
 
+def _last_nonzero(a: Sequence[Scalar]) -> int:
+    """The index of the last nonzero entry of ``a``, or -1 if there is none."""
+    return next((i for i in range(len(a) - 1, -1, -1) if a[i]), -1)
+
+
 def power(a: Sequence[Scalar], e: int, length: int) -> list[Scalar]:
     """The first ``length`` coefficients of A(t)^e, for A(t) = sum a_i t^i.
 
@@ -44,7 +49,7 @@ def power(a: Sequence[Scalar], e: int, length: int) -> list[Scalar]:
     a0 = a[0]
     exact = (e >= 0 or a0 in (1, -1)) and all(isinstance(c, int) for c in a)
     b: list[Scalar] = [a0 ** abs(e) if exact else Fraction(a0) ** e]
-    top = max(i for i, c in enumerate(a) if c)
+    top = _last_nonzero(a)
     for k in range(1, length):
         acc = 0
         for i in range(1, min(k, top) + 1):
@@ -116,16 +121,27 @@ class TruncatedSeries:
         return (-self) + other
 
     def __mul__(self, other):
+        """The product to the smaller order of the two factors.
+
+        The sums stop at each factor's last nonzero term, ``ta`` and ``tb``:
+        t^k sums a_i b_(k-i) over k - tb <= i <= ta only, and every
+        coefficient past ta + tb is 0.  A product with a zero-padded
+        polynomial of degree d so costs O(order * d) operations, not
+        O(order^2).
+        """
         if not isinstance(other, TruncatedSeries):
             return TruncatedSeries([c * other for c in self.coeffs])
-        n = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
+        length = min(len(a), len(b))
+        ta, tb = _last_nonzero(a), _last_nonzero(b)
+        top = min(ta + tb, length - 1) if ta >= 0 and tb >= 0 else -1
         out = []
-        for k in range(n + 1):
+        for k in range(top + 1):
             acc = 0
-            for i in range(max(0, k - other.order), min(k, self.order) + 1):
+            for i in range(max(0, k - tb), min(k, ta) + 1):
                 acc += a[i] * b[k - i]
             out.append(acc)
+        out.extend([0] * (length - 1 - top))
         return TruncatedSeries(out)
 
     __rmul__ = __mul__

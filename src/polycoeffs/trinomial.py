@@ -46,13 +46,17 @@ def gegenbauer(alpha: int, degree: int, argument) -> Fraction:
 
     Integer ``alpha`` of either sign is supported: negative alpha expands a
     plain polynomial power, positive alpha goes through exact series
-    inversion.
+    inversion.  For x = p/q in lowest terms the substitution t = q u turns
+    the base into 1 - 2p u + q^2 u^2, an integer polynomial with constant
+    term 1, so the whole power stays in ``int``; the coefficient of t^degree
+    is that of u^degree divided by q^degree.
     """
     if degree < 0:
         raise ValueError("degree must be non-negative")
     x = Fraction(argument)
-    base = TruncatedSeries([1, -2 * x, 1], degree)
-    return Fraction((base ** (-alpha))[degree])
+    p, q = x.numerator, x.denominator
+    base = TruncatedSeries([1, -2 * p, q * q], degree)
+    return Fraction((base ** (-alpha))[degree], q ** degree)
 
 
 def dilcher_sum(n: int, k: int) -> float:

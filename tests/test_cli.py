@@ -290,6 +290,33 @@ VERIFY_DIGESTS = {
 }
 
 
+# sha256 of `genfun` output as the full schoolbook series product wrote it:
+# stopping each product at its factors' last nonzero terms must not move a
+# coefficient; the column series are series-genfun's benchmark requests
+GENFUN_DIGESTS = {
+    ("column+ -k 20 -m 4 --terms 301", "plain"):
+        "2884ce47e39cda04483a1bd0d08cdb4b505ab8fc8ccf37ba056be148531e878c",
+    ("column+ -k 20 -m 4 --terms 301", "json"):
+        "553964e1a3936c69442d0fd37d2201fc64f2bddfdd926433c28d9c6810aec9e2",
+    ("column- -k 10 -m 3 --terms 201", "plain"):
+        "297ca9a993c4d2a3b3231f764bf43ef3d1f44f3085ce72d670a41c46b0828038",
+    ("column- -k 10 -m 3 --terms 201", "json"):
+        "3af338d027e968951ca68b36e31d9ff26fe5ffcab42b6b0e12b82600168df795",
+    ("carlitz -a 1 -b 2 -m 3 --terms 26", "plain"):
+        "78c98e54865b9338b202214c51ec1787e657d313f6393c7d5b57bd77b3abbc13",
+    ("carlitz -a 1 -b 2 -m 3 --terms 26", "json"):
+        "4c8c467d7314d6a3436e6ae84a305f99d3230328b3effc737cf1295c36427299",
+}
+
+
+@pytest.mark.parametrize("args, fmt", list(GENFUN_DIGESTS))
+def test_genfun_output_is_pinned(runner, args, fmt):
+    result = invoke(runner, "genfun", *args.split(), "--format", fmt)
+    assert result.exit_code == 0
+    digest = hashlib.sha256(result.stdout.encode()).hexdigest()
+    assert digest == GENFUN_DIGESTS[args, fmt]
+
+
 def _cpus(monkeypatch, count):
     """Let the CLI see ``count`` CPUs that it may use."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),

@@ -69,6 +69,34 @@ def test_gegenbauer_matches_sympy(alpha):
         assert sympy.Rational(ours.numerator, ours.denominator) == theirs
 
 
+def _sympy_gegenbauer_series(alpha, degree, x):
+    """[t^degree] (1 - 2xt + t^2)^(-alpha) by sympy's ring series over QQ."""
+    ring_, t = ring("t", QQ)
+    base = 1 - 2 * QQ(x.numerator, x.denominator) * t + t ** 2
+    if alpha > 0:
+        base, alpha = rs_series_inversion(base, t, degree + 1), -alpha
+    return rs_pow(base, -alpha, t, degree + 1).coeff(t ** degree)
+
+
+# away from x = +-1/2 the denominator q of x = p/q is not 2, so these are
+# the points where gegenbauer's substitution t = q u shows
+@pytest.mark.parametrize(
+    "x", [Fraction(0), Fraction(1, 3), Fraction(-2, 5), Fraction(3, 2), Fraction(2)]
+)
+@pytest.mark.parametrize("alpha", range(-3, 5))
+def test_gegenbauer_matches_sympy_away_from_one_half(alpha, x):
+    sx = sympy.Rational(x.numerator, x.denominator)
+    for j in range(13):
+        ours = gegenbauer(alpha, j, x)
+        assert type(ours) is Fraction
+        value = sympy.Rational(ours.numerator, ours.denominator)
+        assert value == _sympy_gegenbauer_series(alpha, j, x), (alpha, j)
+        # sympy.gegenbauer returns 0 for a = -1 by convention, where the
+        # generating function gives 1, -2x, 1
+        if alpha != -1:
+            assert value == sympy.gegenbauer(j, alpha, sx), (alpha, j)
+
+
 def test_degree_two_closed_form_matches_sympy_radicals():
     x = sympy.symbols("x")
     s = sympy.sqrt(x * (4 - 3 * x))

@@ -1,4 +1,5 @@
 """Tests for the exact series kernel."""
+import time
 from fractions import Fraction
 
 import pytest
@@ -156,8 +157,57 @@ def test_pow_adds_exponents(a, e1, e2):
     assert a ** (e1 + e2) == (a ** e1) * (a ** e2)
 
 
+def _convolution(a, b, length):
+    """The first ``length`` coefficients of the product of two coefficient
+    lists, every term of each sum written out; ``_repeated_product`` and
+    the power tests rest on ``__mul__``, so it is checked against this."""
+    a = list(a) + [0] * (length - len(a))
+    b = list(b) + [0] * (length - len(b))
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(length)]
+
+
+# entries with many zeros, all-zero lists among them, embedded at an order of
+# their own: padded past their length or truncated below it
+sparse_entries = st.lists(
+    st.one_of(st.just(0), st.integers(-9, 9)), max_size=8
+) | st.lists(st.just(0), max_size=8)
+
+
+@given(sparse_entries, sparse_entries, st.integers(0, 12), st.integers(0, 12),
+       st.booleans(), st.booleans())
+def test_mul_matches_a_direct_convolution(a, b, order_a, order_b, frac_a, frac_b):
+    if frac_a:
+        a = [Fraction(c, 4) for c in a]
+    if frac_b:
+        b = [Fraction(c, 3) for c in b]
+    sa, sb = TruncatedSeries(a, order_a), TruncatedSeries(b, order_b)
+    order = min(order_a, order_b)
+    product = sa * sb
+    assert product.order == order
+    assert list(product.coeffs) == _convolution(sa.coeffs, sb.coeffs, order + 1)
+    # past the last nonzero terms, ta + tb, the tail is zero
+    ta = max((i for i, c in enumerate(sa.coeffs) if c), default=None)
+    tb = max((i for i, c in enumerate(sb.coeffs) if c), default=None)
+    start = 0 if ta is None or tb is None else ta + tb + 1
+    assert all(c == 0 for c in product.coeffs[start:])
+    if not (frac_a or frac_b):
+        assert all(isinstance(c, int) for c in product.coeffs)
+
+
+def test_mul_by_a_shift_costs_the_order_not_its_square():
+    # a full series times t: 2 * 10^8 multiply-adds as a schoolbook product
+    order = 20_000
+    full = TruncatedSeries(range(1, order + 2))
+    shift = TruncatedSeries([0, 1], order)
+    start = time.perf_counter()
+    products = (full * shift, shift * full)
+    elapsed = time.perf_counter() - start
+    assert products == (TruncatedSeries(range(order + 1)),) * 2
+    assert elapsed < 0.5
+
+
 def _repeated_product(coeffs, e, length):
-    # e-fold product by the schoolbook series multiplication, not by power()
+    # e-fold product by the series multiplication, not by power()
     base = TruncatedSeries(coeffs, length - 1)
     result = TruncatedSeries([1], length - 1)
     for _ in range(e):
