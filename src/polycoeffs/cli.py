@@ -151,8 +151,9 @@ def cli(ctx):
 @_refuse_too_large
 def cmd_coeff(n, k, m, fmt):
     """Print one coefficient exactly."""
-    # for n >= 0, coeff reads <n,k> from the shorter side of the row
-    # for n < 0 the bound stays at k + 1, though that kernel now costs less
+    # coeff's finite sum has at most min(|n|, k')/(m+1) + 1 terms, with
+    # k' = min(k, mn - k) for n >= 0 and k' = k for n < 0; the bounds still
+    # price a T2-ix prefix of k' + 1 terms, which costs more than the sum
     prefix = k + 1 if n < 0 else min(k, m * n - k) + 1
     _check_bounds(abs(n), m, prefix)
     bits = _value_bits(n, m, k)

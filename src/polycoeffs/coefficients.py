@@ -12,23 +12,26 @@ the next in O(1).  It needs no earlier row, so a prefix of length k of any
 row, of either sign, costs O(k) operations on integers, and nothing is kept
 between calls.
 
-``coeff`` picks its kernel by the sign of n.  For n >= 0 it runs the same
-recurrence and reads <n,k> as <n,mn-k> past the middle of the row, so it
-builds at most half of it, at most mn/2 + 1 steps; ``row`` does not mirror,
-so row symmetry (T2-ii) stays a check of the kernel.  For n = -p < 0 it
-reads <n,k> from the factorisation (1 - t)^p (1 - t^(m+1))^(-p)
-(``_negative_row_coeff``): the first factor has only p + 1 terms, so the sum
-has at most min(p, k)/(m+1) + 1 terms, each stepped from the one before, and
-its length stops growing with k once k passes p.
+``coeff`` reads <n,k> for either sign of n from the factorisation
+(1 + t + ... + t^m)^n = (1 - t^(m+1))^n (1 - t)^(-n), as the finite sum
+sum_j (-1)^j C(n,j) C(n+r-1, r), r = k - j(m+1) (``_finite_sum``), each term
+stepped from its neighbour by a ratio of small integers.  For n >= 0 it
+first reads <n,k> as <n,mn-k> past the middle of the row; for n = -p < 0 only
+the j with r <= p count, because (1 - t)^p has p + 1 terms.  The sum has at
+most min(|n|, k)/(m+1) + 1 terms, a count that does not grow with m, and at
+m = 1 it is one binomial.  ``row`` does not mirror, so row symmetry (T2-ii)
+stays a check of its kernel, and ``coeff_by_recurrence`` keeps T2-ix as an
+oracle for single coefficients.
 
 Direct series expansion (``coeff_by_series``) goes through J.C.P. Miller's
 rule for powers of a series (``series.power``), the general form of T2-ix
 with one multiply-add per term of the base, which shares no code with
 either kernel and so cross-checks them.  The oracles that share no code
 path with any of these are the closed form
-sum_j (-1)^j C(n,j) C(n+k-j(m+1)-1, k-j(m+1)), the recursive reduction of
-the degree m down to ordinary binomials, and (for n >= 0) the multinomial
-enumeration.
+sum_j (-1)^j C(n,j) C(n+k-j(m+1)-1, k-j(m+1)), each term a product of two
+``binom`` calls (the sum ``coeff`` steps through, but none of its code), the
+recursive reduction of the degree m down to ordinary binomials, and (for
+n >= 0) the multinomial enumeration.
 """
 from __future__ import annotations
 
@@ -85,7 +88,7 @@ def _row_prefix(n: int, m: int, length: int) -> list[int]:
 
 def coeff_by_recurrence(n: int, k: int, m: int) -> int:
     """The row recurrence T2-ix, from the short side of the row when
-    n >= 0 (the default path there)."""
+    n >= 0."""
     _require_degree(m)
     if k < 0 or (n >= 0 and k > m * n):
         return 0
@@ -150,47 +153,73 @@ def coeff_by_closed_form(n: int, k: int, m: int) -> int:
     return total
 
 
-def _negative_row_coeff(n: int, k: int, m: int) -> int:
-    """<n,k> for n = -p < 0 from (1 - t)^p (1 - t^(m+1))^(-p).
+def _finite_sum(n: int, k: int, m: int) -> int:
+    """<n,k> for n < 0, or for n >= 1 and 0 <= k <= mn/2, from
+    (1 - t^(m+1))^n (1 - t)^(-n).
 
     This is the closed form sum_j (-1)^j C(n,j) C(n+r-1, r), r = k - j(m+1),
-    over the j where C(n+r-1, r) = (-1)^r C(p, r) is nonzero, 0 <= r <= p:
-    at most min(p, k)/(m+1) + 1 terms.  Each term follows from the one
-    before as term * (j - n) prod_{i<=m} (r - i) over
-    (j + 1) prod_{i<=m} (n + r - 1 - i), both products of small integers;
-    the division is exact.
+    over the j where both factors are nonzero.  For n >= 0 those are
+    0 <= j <= k/(m+1), which stays below n/2.  For n = -p < 0,
+    C(n+r-1, r) = (-1)^r C(p, r) needs r <= p, so j starts at
+    ceil((k - p)/(m+1)).  Either way there are at most min(|n|, k)/(m+1) + 1
+    terms.  Each term follows from its neighbour by
+    term_{j+1} / term_j = (j - n) prod_{i<=m} (r - i) over
+    (j + 1) prod_{i<=m} (n + r - 1 - i), two falling products of small
+    integers; every division is exact.  For n < 0 the sum starts from its
+    first term and steps up.  For n >= 0 it starts from its last term,
+    C(n, j) C(n+r-1, r) with r <= m, and steps down, because the term at
+    j = 0, C(n+k-1, k), costs the most to compute directly.
     """
-    _require_degree(m)
     step = m + 1
-    first = max(0, -((n + k) // -step))  # ceil((k - p) / (m+1))
     last = k // step
-    if first > last:
-        return 0
-    r = k - first * step
-    term = math.comb(first - n - 1, first) * math.comb(-n, r)
-    if r & 1:
+    if n < 0:
+        first = max(0, -((n + k) // -step))  # ceil((k - p) / (m+1))
+        if first > last:
+            return 0
+        r = k - first * step
+        term = math.comb(first - n - 1, first) * math.comb(-n, r)
+        odd = r & 1
+    else:
+        first = 0
+        r = k - last * step
+        term = math.comb(n, last) * math.comb(n + r - 1, r)
+        odd = last & 1
+    if odd:
         term = -term
+    if first == last:
+        return term
     total = term
-    for j in range(first, last):
-        numerator = j - n
-        denominator = j + 1
-        for i in range(step):
-            numerator *= r - i
-            denominator *= n + r - 1 - i
-        term = term * numerator // denominator
-        r -= step
+    # prod_{i<=m} (n + r - 1 - i) has only negative factors when n < 0:
+    # it is then (-1)^(m+1) perm(m + 1 - n - r, m + 1)
+    flip = -1 if step & 1 else 1
+    for j in range(first, last) if n < 0 else range(last - 1, -1, -1):
+        r = k - j * step
+        up = (j - n) * math.perm(r, step)
+        if n < 0:
+            term = term * up // (flip * (j + 1) * math.perm(step - n - r, step))
+        else:
+            term = term * ((j + 1) * math.perm(n + r - 1, step)) // up
         total += term
     return total
 
 
 def coeff(n: int, k: int, m: int) -> int:
-    """The default algorithm, by the sign of n: for n >= 0 the row
-    recurrence T2-ix from the short side of the row, at most mn/2 + 1 steps;
-    for n < 0 the finite factor (1 - t)^|n|, at most min(|n|, k)/(m+1) + 1
-    terms."""
+    """The default algorithm, one finite sum for either sign of n
+    (``_finite_sum``), at most min(|n|, k)/(m+1) + 1 terms; for n >= 0 it
+    reads <n,k> as <n,mn-k> past the middle of the row.  At m = 1 it is one
+    binomial: C(n, k), and (-1)^k C(p+k-1, k) for n = -p."""
+    _require_degree(m)
     if n < 0:
-        return _negative_row_coeff(n, k, m)
-    return coeff_by_recurrence(n, k, m)
+        if m == 1 and k >= 0:
+            value = math.comb(k - n - 1, k)
+            return -value if k & 1 else value
+        return _finite_sum(n, k, m)
+    if k < 0 or k > m * n:
+        return 0
+    k = min(k, m * n - k)
+    if m == 1:
+        return math.comb(n, k)
+    return _finite_sum(n, k, m) if k else 1
 
 
 def row(n: int, m: int, limit: int) -> list[int]:

@@ -4,11 +4,13 @@ The k-th column of the triangle is generated by
 P_k(x) / (1 - x)^(k+1) on the non-negative rows and by a mirrored companion
 on the negative rows, where P_k is an integer polynomial.  Diagonals of the
 form <a + b*k, k> are generated by a Carlitz-style construction driven by the
-solution of y = x * p_m(y)^b, whose coefficients Lagrange inversion gives
-directly (``series.solve_carlitz_y``).  The construction itself, composition
+solution of y = x * p_m(y)^b.  Lagrange inversion gives its coefficients as
+single entries of the triangle, [x^k] y = <b k, k-1>_m / k, each read by
+``coeff`` (``series.solve_carlitz_y``).  The construction itself, composition
 with the polynomials p_m and p_m', a power and an inverse, is independent of
-that formula.  Every series built here is checked against direct coefficient
-computation before it is returned.
+that formula, and its check reads ``coeff`` at other points, <a + b j, j>.
+Every series built here is checked against direct coefficient computation
+before it is returned.
 """
 from __future__ import annotations
 

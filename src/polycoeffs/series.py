@@ -185,19 +185,18 @@ def solve_carlitz_y(m: int, b: int, order: int) -> TruncatedSeries:
     """The unique series y(x) with y(0) = 0 and y = x * p_m(y)^b.
 
     Lagrange inversion gives it in closed form: [x^k] y is
-    [t^(k-1)] p_m(t)^(b k) / k, that is <b k, k-1>_m / k, each read off one
-    ``power`` call.  The division is exact because y = x * p_m(y)^b has
-    integer coefficients: p_m^b has constant term 1, so solving for y term by
-    term never divides.
+    [t^(k-1)] p_m(t)^(b k) / k, that is <b k, k-1>_m / k, each read by one
+    ``coefficients.coeff`` call, a finite sum of at most k/(m+1) + 1 terms.
+    The division is exact because y = x * p_m(y)^b has integer coefficients:
+    p_m^b has constant term 1, so solving for y term by term never divides.
     """
+    from .coefficients import coeff  # coefficients imports this module
+
     if m < 1:
         raise ValueError("m must be at least 1")
     if order < 0:
         raise ValueError("order must be non-negative")
-    pm = (1,) * (m + 1)
-    return TruncatedSeries(
-        [0] + [power(pm, b * k, k)[k - 1] // k for k in range(1, order + 1)]
-    )
+    return TruncatedSeries([0] + [coeff(b * k, k - 1, m) // k for k in range(1, order + 1)])
 
 
 class IntPolynomial:

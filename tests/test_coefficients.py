@@ -243,17 +243,33 @@ def test_independent_oracles_share_no_code_path(first, second):
     assert _package_calls(first) & _package_calls(second) == {REQUIRE_DEGREE}
 
 
-@pytest.mark.parametrize(
+DEFAULT_PATH_ORACLES = pytest.mark.parametrize(
     "oracle",
     [coeff_by_recurrence, coeff_by_series, coeff_by_closed_form],
     ids=lambda oracle: oracle.__name__,
 )
+
+
+def _assert_default_path_shares_no_code(oracle, points):
+    default = _package_calls(coeff, points)
+    assert default & _package_calls(oracle, points) == {REQUIRE_DEGREE}
+    assert default & _package_calls(oracle) == {REQUIRE_DEGREE}
+    assert ("polycoeffs.coefficients", "binom") not in default
+    assert ("polycoeffs.coefficients", "_row_prefix") not in default
+
+
+@DEFAULT_PATH_ORACLES
 def test_default_path_for_negative_rows_shares_no_code_path(oracle):
     # for n < 0, coeff is a fourth algorithm: k inside and past the first
-    # factor's p + 1 terms
-    negative = _package_calls(coeff, [(-5, 7, 3), (-5, 40, 3)])
-    assert negative & _package_calls(oracle) == {REQUIRE_DEGREE}
-    assert ("polycoeffs.coefficients", "binom") not in negative
+    # factor's p + 1 terms, and m = 1
+    _assert_default_path_shares_no_code(oracle, [(-5, 7, 3), (-5, 40, 3), (-5, 7, 1)])
+
+
+@DEFAULT_PATH_ORACLES
+def test_default_path_for_nonnegative_rows_shares_no_code_path(oracle):
+    # the same finite sum for n >= 0: before and past the middle of the row,
+    # row 0, and m = 1
+    _assert_default_path_shares_no_code(oracle, [(5, 7, 3), (5, 12, 3), (0, 0, 3), (6, 4, 1)])
 
 
 def test_binom_reduction_shares_only_binom_with_the_closed_form():
@@ -331,6 +347,25 @@ def test_sampled_oracles_agree(m, region, data):
     assert coeff_by_series(n, k, m) == expected
     if 0 <= n <= 8:
         assert multinomial_oracle(n, k, m) == expected
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 6])
+@pytest.mark.parametrize("n", [-7, -1, 0, 1, 2, 7, 8])
+def test_default_path_at_the_edges_of_the_row(n, m):
+    # k < 0, k past a non-negative row's support, both middles of the row,
+    # its two ends, and k past a negative row's first factor (1 - t)^|n|
+    span = m * abs(n)
+    ks = {-3, -1, 0, 1, span // 2, (span + 1) // 2, span, span + 1, span + 7, 3 * span + 5}
+    for k in sorted(ks):
+        assert coeff(n, k, m) == coeff_by_recurrence(n, k, m), k
+
+
+@settings(max_examples=300)
+@given(st.integers(-80, 80), st.integers(1, 9), st.data())
+def test_default_path_matches_the_recurrence(n, m, data):
+    # k over the whole row for n >= 0, and out past (1 - t)^|n| for n < 0
+    k = data.draw(st.integers(-2, m * abs(n) + (2 if n >= 0 else 3 * abs(n) + 40)), label="k")
+    assert coeff(n, k, m) == coeff_by_recurrence(n, k, m)
 
 
 @pytest.mark.parametrize(

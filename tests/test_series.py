@@ -329,6 +329,16 @@ def test_carlitz_solution_matches_closed_form(m, b):
         assert y[k] * k == coeff_by_closed_form(b * k, k - 1, m)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("b", [-3, -2, -1, 0, 1, 2, 3])
+def test_carlitz_solution_matches_series_power_reading(m, b):
+    # the same Lagrange coefficients read by Miller's rule instead of coeff:
+    # one series power of p_m per coefficient
+    pm = (1,) * (m + 1)
+    expected = [0] + [power(pm, b * k, k)[k - 1] // k for k in range(1, 61)]
+    assert list(solve_carlitz_y(m, b, 60).coeffs) == expected
+
+
 def test_carlitz_b_zero_is_x():
     y = solve_carlitz_y(2, 0, 6)
     assert y.coeffs == (0, 1, 0, 0, 0, 0, 0)
