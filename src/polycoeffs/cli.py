@@ -21,7 +21,7 @@ import threading
 import click
 
 from . import __version__
-from .coefficients import coeff, row
+from .coefficients import coeff, coeff_cost, row, row_length, value_bits
 from .errors import MismatchError, TooLarge
 from .genfun import carlitz_gf, column_gf, pk_by_recurrence
 from .identities import PROFILES, build_registry, run_identity
@@ -30,14 +30,13 @@ from .trinomial import NUMERIC_CHECKS
 
 FORMATS = click.Choice(["plain", "json", "csv"])
 
-# Guard rails for coeff and table, checked before anything is computed.
+# Guard rails for coeff and table, checked before anything is computed: the
+# span first, so no float sees a huge -n, then the price each kernel puts on
+# itself in coefficients.py, which for coeff also bounds printing its value.
 MAX_ROW_SPAN = 10 ** 5  # |n|*m, which bounds the size of a row's values
-MAX_PREFIX = 10 ** 5  # coefficients computed for one row
+MAX_PREFIX = 10 ** 5  # coefficients computed for one table row
 MAX_CELLS = 10 ** 6  # table cells, rows * (kmax + 1)
-# A row prefix costs about its length times its values' bit length in
-# big-integer steps, and printing a value about its bit length squared; at
-# these bounds a query takes about a second.
-MAX_ROW_WORK = 10 ** 9  # prefix length times value bits, summed over rows
+MAX_WORK = 10 ** 9  # about a second: coeff's price, or its rows' prices summed over a table
 MAX_PRINT_WORK = 5 * 10 ** 11  # values printed times value bits squared
 
 # Guard rails for genfun, one set per kind, on what its cost grows with.  The
@@ -50,39 +49,11 @@ MAX_GENFUN_TERMS = 1_200  # (m+1)*terms (carlitz), (m+1)*(k+1) and terms (column
 
 
 def _check_limits(*limits) -> None:
-    """Raise ``TooLarge`` for the first ``(what, value, bound)`` past its bound."""
+    """Raise ``TooLarge`` for the first ``(what, value, bound)`` whose value,
+    rounded up, is past its bound."""
     for what, value, bound in limits:
-        if value > bound:
-            raise TooLarge(f"{what} is {value}, over the bound of {bound}")
-
-
-def _value_bits(n: int, m: int, last: int) -> float:
-    """An upper bound on the bit length of <n,k>_m for 0 <= k <= last:
-    |<n,k>| <= C(|n| + k - 1, k) for n < 0 and <= (m+1)^n for n >= 0."""
-    if n >= 0:
-        return n * math.log2(m + 1) + 1
-    last = max(last, 0)
-    log_binom = math.lgamma(last - n) - math.lgamma(last + 1) - math.lgamma(-n)
-    return log_binom / math.log(2) + 1
-
-
-def _check_bounds(n_far: int, m: int, prefix: int, cells: int = 1) -> None:
-    """Raise ``TooLarge`` for a query past one of the guard rails."""
-    _check_limits(
-        ("|n|*m", n_far * m, MAX_ROW_SPAN),
-        ("the row prefix length", prefix, MAX_PREFIX),
-        ("the table cell count", cells, MAX_CELLS),
-    )
-
-
-def _check_work(work: float, printing: float) -> None:
-    """Raise ``TooLarge`` for rows too costly to compute or print; checked
-    after ``_check_bounds``, whose bounds keep ``_value_bits`` finite."""
-    _check_limits(
-        ("prefix length times value bits", math.ceil(work), MAX_ROW_WORK),
-        ("values printed times value bits squared", math.ceil(printing),
-         MAX_PRINT_WORK),
-    )
+        if math.ceil(value) > bound:
+            raise TooLarge(f"{what} is {math.ceil(value)}, over the bound of {bound}")
 
 
 def _refuse_too_large(command):
@@ -151,13 +122,8 @@ def cli(ctx):
 @_refuse_too_large
 def cmd_coeff(n, k, m, fmt):
     """Print one coefficient exactly."""
-    # coeff's finite sum has at most min(|n|, k')/(m+1) + 1 terms, with
-    # k' = min(k, mn - k) for n >= 0 and k' = k for n < 0; the bounds still
-    # price a T2-ix prefix of k' + 1 terms, which costs more than the sum
-    prefix = k + 1 if n < 0 else min(k, m * n - k) + 1
-    _check_bounds(abs(n), m, prefix)
-    bits = _value_bits(n, m, k)
-    _check_work(prefix * bits, bits * bits)
+    _check_limits(("|n|*m", abs(n) * m, MAX_ROW_SPAN))
+    _check_limits(("coeff's work estimate", coeff_cost(n, k, m), MAX_WORK))
     value = coeff(n, k, m)
     if fmt == "json":
         click.echo(json.dumps({"n": n, "k": k, "m": m, "value": str(value)}))
@@ -180,21 +146,21 @@ def cmd_table(m, rows, kmax, fmt):
     if kmax < 0:
         raise click.BadParameter("kmax must be non-negative", param_hint="--kmax")
     lo, hi = rows
-    # row n computes and prints kmax + 1 terms when n < 0, min(kmax, mn) + 1
-    # otherwise
-    prefix = {n: kmax + 1 if n < 0 else min(kmax, m * n) + 1 for n in rows}
-    cells = (hi - lo + 1) * (kmax + 1)
-    _check_bounds(max(abs(lo), abs(hi)), m, max(prefix.values()), cells)
+    prefix = {n: row_length(n, m, kmax) for n in rows}
+    _check_limits(
+        ("|n|*m", max(abs(lo), abs(hi)) * m, MAX_ROW_SPAN),
+        ("the row prefix length", max(prefix.values()), MAX_PREFIX),
+        ("the table cell count", (hi - lo + 1) * (kmax + 1), MAX_CELLS),
+    )
     # rows of one sign cost the most at the end farthest from 0
     negative = max(min(hi, -1) - lo + 1, 0)
-    ends = [
-        (count, prefix[n], _value_bits(n, m, kmax))
-        for n, count in ((lo, negative), (hi, hi - lo + 1 - negative))
-        if count
-    ]
-    _check_work(
-        sum(count * length * bits for count, length, bits in ends),
-        sum(count * length * bits * bits for count, length, bits in ends),
+    ends = [(count, prefix[n], value_bits(n, m, kmax))
+            for n, count in ((lo, negative), (hi, hi - lo + 1 - negative)) if count]
+    _check_limits(
+        ("prefix length times value bits",
+         sum(count * length * bits for count, length, bits in ends), MAX_WORK),
+        ("values printed times value bits squared",
+         sum(count * length * bits * bits for count, length, bits in ends), MAX_PRINT_WORK),
     )
     table = [(n, row(n, m, kmax)) for n in range(lo, hi + 1)]
     if fmt == "json":

@@ -5,23 +5,19 @@ integer n (negative included), with the convention that it is 0 for k < 0.
 
 ``row`` computes row prefixes by the paper's horizontal recurrence T2-ix,
 k<n,k> = sum_{i<=m} ((n+1)i - k) <n,k-i>, in its own kernel
-(``_row_prefix``).  Since every coefficient of 1 + t + ... + t^m is 1, the
-sum is (n+1) W - k S over the window b_{k-m} .. b_{k-1}, with
-S = sum_i b_{k-i} and W = sum_i i b_{k-i}, and both sums move from one k to
-the next in O(1).  It needs no earlier row, so a prefix of length k of any
-row, of either sign, costs O(k) operations on integers, and nothing is kept
-between calls.
+(``_row_prefix``), whose window sums move from one k to the next in O(1).
+It needs no earlier row, so a prefix of length k of any row, of either sign,
+costs O(k) operations on integers, and nothing is kept between calls.
 
 ``coeff`` reads <n,k> for either sign of n from the factorisation
-(1 + t + ... + t^m)^n = (1 - t^(m+1))^n (1 - t)^(-n), as the finite sum
-sum_j (-1)^j C(n,j) C(n+r-1, r), r = k - j(m+1) (``_finite_sum``), each term
-stepped from its neighbour by a ratio of small integers.  For n >= 0 it
-first reads <n,k> as <n,mn-k> past the middle of the row; for n = -p < 0 only
-the j with r <= p count, because (1 - t)^p has p + 1 terms.  The sum has at
-most min(|n|, k)/(m+1) + 1 terms, a count that does not grow with m, and at
-m = 1 it is one binomial.  ``row`` does not mirror, so row symmetry (T2-ii)
-stays a check of its kernel, and ``coeff_by_recurrence`` keeps T2-ix as an
-oracle for single coefficients.
+(1 + t + ... + t^m)^n = (1 - t^(m+1))^n (1 - t)^(-n), as a finite sum
+(``_finite_sum``) of at most |n|/2 + 1 terms, each stepped from its
+neighbour by a ratio of small integers; at m = 1 it is one binomial.  For
+n >= 0 it reads <n,k> as <n,mn-k> past the middle of the row.  ``row`` does
+not mirror, so row symmetry (T2-ii) stays a check of its kernel, and
+``coeff_by_recurrence`` keeps T2-ix as an oracle for single coefficients.
+Each kernel prices itself, in work units of about a nanosecond: ``row``
+costs ``row_length`` times ``value_bits``, and ``coeff`` costs ``coeff_cost``.
 
 Direct series expansion (``coeff_by_series``) goes through J.C.P. Miller's
 rule for powers of a series (``series.power``), the general form of T2-ix
@@ -84,6 +80,20 @@ def _row_prefix(n: int, m: int, length: int) -> list[int]:
         b.append((n1 * w - k * s) // k)
     del b[:m]  # in place: a copy would double the peak memory of a long row
     return b
+
+
+def row_length(n: int, m: int, limit: int) -> int:
+    """The length of the T2-ix prefix that ``row(n, m, limit)`` builds."""
+    return limit + 1 if n < 0 else min(limit, m * n) + 1
+
+
+def value_bits(n: int, m: int, last: int) -> float:
+    """A bound on the bit length of <n,k>_m for 0 <= k <= last, and the work
+    units of a T2-ix step: C(|n|+k-1, k) for n < 0, (m+1)^n for n >= 0."""
+    if n >= 0:
+        return n * math.log2(m + 1) + 1
+    log_binom = math.lgamma(last - n) - math.lgamma(last + 1) - math.lgamma(-n)
+    return log_binom / math.log(2) + 1
 
 
 def coeff_by_recurrence(n: int, k: int, m: int) -> int:
@@ -155,23 +165,20 @@ def coeff_by_closed_form(n: int, k: int, m: int) -> int:
 
 def _finite_sum(n: int, k: int, m: int) -> int:
     """<n,k> for n < 0, or for n >= 1 and 0 <= k <= mn/2, from
-    (1 - t^(m+1))^n (1 - t)^(-n).
-
-    This is the closed form sum_j (-1)^j C(n,j) C(n+r-1, r), r = k - j(m+1),
-    over the j where both factors are nonzero.  For n >= 0 those are
-    0 <= j <= k/(m+1), which stays below n/2.  For n = -p < 0,
-    C(n+r-1, r) = (-1)^r C(p, r) needs r <= p, so j starts at
-    ceil((k - p)/(m+1)).  Either way there are at most min(|n|, k)/(m+1) + 1
-    terms.  Each term follows from its neighbour by
-    term_{j+1} / term_j = (j - n) prod_{i<=m} (r - i) over
-    (j + 1) prod_{i<=m} (n + r - 1 - i), two falling products of small
-    integers; every division is exact.  For n < 0 the sum starts from its
-    first term and steps up.  For n >= 0 it starts from its last term,
-    C(n, j) C(n+r-1, r) with r <= m, and steps down, because the term at
+    (1 - t^(m+1))^n (1 - t)^(-n): the closed form
+    sum_j (-1)^j C(n,j) C(n+r-1, r), r = k - j(m+1), over the j where both
+    factors are nonzero.  For n >= 0 those are 0 <= j <= k/(m+1) < n/2.  For
+    n = -p < 0, C(n+r-1, r) = (-1)^r C(p, r) needs r <= p, so j starts at
+    ceil((k - p)/(m+1)), and there are at most min(p, k)/(m+1) + 1.  Each term
+    follows from its neighbour by term_{j+1} / term_j =
+    (j - n) prod_{i<=m} (r - i) over (j + 1) prod_{i<=m} (n + r - 1 - i),
+    two falling products of small integers; every division is exact.  For
+    n < 0 the sum steps up from its first term.  For n >= 0 it steps down
+    from its last, C(n, j) C(n+r-1, r) with r <= m, because the term at
     j = 0, C(n+k-1, k), costs the most to compute directly.
     """
     step = m + 1
-    last = k // step
+    first, last = 0, k // step
     if n < 0:
         first = max(0, -((n + k) // -step))  # ceil((k - p) / (m+1))
         if first > last:
@@ -180,7 +187,6 @@ def _finite_sum(n: int, k: int, m: int) -> int:
         term = math.comb(first - n - 1, first) * math.comb(-n, r)
         odd = r & 1
     else:
-        first = 0
         r = k - last * step
         term = math.comb(n, last) * math.comb(n + r - 1, r)
         odd = last & 1
@@ -203,23 +209,52 @@ def _finite_sum(n: int, k: int, m: int) -> int:
     return total
 
 
-def coeff(n: int, k: int, m: int) -> int:
-    """The default algorithm, one finite sum for either sign of n
-    (``_finite_sum``), at most min(|n|, k)/(m+1) + 1 terms; for n >= 0 it
-    reads <n,k> as <n,mn-k> past the middle of the row.  At m = 1 it is one
-    binomial: C(n, k), and (-1)^k C(p+k-1, k) for n = -p."""
-    _require_degree(m)
-    if n < 0:
-        if m == 1 and k >= 0:
-            value = math.comb(k - n - 1, k)
-            return -value if k & 1 else value
-        return _finite_sum(n, k, m)
-    if k < 0 or k > m * n:
-        return 0
-    k = min(k, m * n - k)
+def _binom_bits(top: int, bottom: int) -> float:
+    """A bound on log2 C(top, bottom), 0 <= bottom <= top, for top of any size
+    and within 2% of it: C(N, K) <= (N - (K-1)/2)^K / K!, K <= N/2."""
+    low = min(bottom, top - bottom)
+    return low * (math.log2(2 * top - low + 1) - 1) - math.lgamma(low + 1) / math.log(2)
+
+
+def _coeff_size(n: int, k: int, m: int) -> tuple[int, float]:
+    """The steps ``coeff``'s finite sum takes, one fewer than its terms (0
+    for one ``math.comb``), and a bound on the bits of every term in it."""
+    if n >= 0:
+        k = min(k, m * n - k)  # below 0 past the row's support too
+    if k <= 0:
+        return 0, 0.0
     if m == 1:
-        return math.comb(n, k)
-    return _finite_sum(n, k, m) if k else 1
+        return 0, _binom_bits(n, k) if n >= 0 else _binom_bits(k - n - 1, k)
+    last = k // (m + 1)
+    if n >= 0:  # C(n, j) C(n+r-1, r) with j <= last < n/2 and r <= k
+        return last, _binom_bits(n, last) + _binom_bits(n + k - 1, k)
+    # C(p+j-1, j) C(p, r) with ceil((k - p)/(m+1)) <= j <= last and r <= min(k, p)
+    steps = last - max(0, -((n + k) // -(m + 1)))
+    return max(steps, 0), _binom_bits(last - n - 1, last) + _binom_bits(-n, min(k, -n // 2))
+
+
+def coeff_cost(n: int, k: int, m: int) -> float:
+    """``coeff``'s price in work units of about a nanosecond, b from
+    ``_coeff_size``: b^2/64 for the starting binomials (CPython divides in
+    quadratic time), b (m + 14)/20 a step.  10^9 units took 0.5 to 1.1 s at
+    |n| m <= 10^5 and m <= 300; at m in the thousands a step costs more."""
+    steps, bits = _coeff_size(n, k, m)
+    return bits * (steps * (m + 14) / 20 + bits / 64)
+
+
+def coeff(n: int, k: int, m: int) -> int:
+    """The default algorithm, priced by ``coeff_cost``: one finite sum for
+    either sign of n (``_finite_sum``), or at m = 1 one binomial, C(n, k) or
+    (-1)^k C(p+k-1, k) for n = -p; for n >= 0, <n,mn-k> past mid-row."""
+    _require_degree(m)
+    if n >= 0:
+        k = min(k, m * n - k)  # below 0 past the row's support too
+    if k < 0:
+        return 0
+    if m == 1:
+        value = math.comb(n, k) if n >= 0 else math.comb(k - n - 1, k)
+        return -value if n < 0 and k & 1 else value
+    return _finite_sum(n, k, m) if k or n < 0 else 1
 
 
 def row(n: int, m: int, limit: int) -> list[int]:
@@ -233,9 +268,8 @@ def row(n: int, m: int, limit: int) -> list[int]:
         raise ValueError("m must be non-negative")
     if limit < 0:
         raise ValueError("limit must be non-negative")
-    width = limit if n < 0 else min(limit, m * n)
-    out = _row_prefix(n, m, width + 1)
-    out.extend([0] * (limit - width))
+    out = _row_prefix(n, m, row_length(n, m, limit))
+    out.extend([0] * (limit + 1 - len(out)))
     return out
 
 

@@ -13,10 +13,25 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycoeffs import cli as cli_module
 from polycoeffs.cli import cli
-from polycoeffs.coefficients import coeff, row
+from polycoeffs.coefficients import (
+    chi,
+    coeff,
+    coeff_by_closed_form,
+    coeff_cost,
+    row,
+    row_length,
+    value_bits,
+)
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 
 @pytest.fixture()
@@ -100,10 +115,6 @@ def _forbid_computing(monkeypatch):
         # the CLI no longer answers rows this far out; the library still does
         pytest.param(("coeff", "-n", "1000000", "-k", "1", "-m", "2"),
                      "|n|*m is 2000000", id="coeff-far-row"),
-        pytest.param(("coeff", "-n", "-1", "-k", "100000", "-m", "2"),
-                     "row prefix length is 100001", id="coeff-prefix"),
-        pytest.param(("coeff", "-n", "-1", "-k", "1000000000", "-m", "2"),
-                     "row prefix length is 1000000001", id="coeff-runaway-prefix"),
         pytest.param(("table", "-m", "2", "--rows", "-3..50001", "--kmax", "0"),
                      "|n|*m is 100002", id="table-span"),
         pytest.param(("table", "-m", "1", "--rows", "-1..-1", "--kmax", "100000"),
@@ -114,14 +125,17 @@ def _forbid_computing(monkeypatch):
                      "table cell count is 1000010", id="table-cells"),
         pytest.param(("coeff", "-n", "-1" + "0" * 400, "-k", "3", "-m", "1"),
                      "|n|*m is 1" + "0" * 400, id="coeff-span-past-floats"),
-        # inside the span and prefix bounds, but about 11 s and 1.7 GB; the bit
-        # bounds of n < 0 come from lgamma, so only their leading digits are pinned
-        pytest.param(("coeff", "-n", "-100000", "-k", "99999", "-m", "1"),
-                     "prefix length times value bits is 199989", id="coeff-work"),
-        pytest.param(("coeff", "-n", "-25000", "-k", "25000", "-m", "1"),
-                     "prefix length times value bits is 124984", id="coeff-work-just-past"),
-        pytest.param(("coeff", "-n", "100000", "-k", "50000", "-m", "1"),
-                     "prefix length times value bits is 5000150001", id="coeff-work-positive"),
+        # inside the span bound, but the finite sum takes 1.5 to 1.8 s; the
+        # prices come from lgamma, so only their leading digits are pinned
+        pytest.param(("coeff", "-n", "-50000", "-k", "99999", "-m", "2"),
+                     "coeff's work estimate is 20338", id="coeff-work-sum-negative"),
+        pytest.param(("coeff", "-n", "50000", "-k", "50000", "-m", "2"),
+                     "coeff's work estimate is 23054", id="coeff-work-sum-positive"),
+        # one math.comb of about 380,000 bits
+        pytest.param(("coeff", "-n", "-100000", "-k", "200000", "-m", "1"),
+                     "coeff's work estimate is 11941", id="coeff-work-binomial"),
+        pytest.param(("coeff", "-n", "-1000", "-k", "1" + "0" * 400, "-m", "2"),
+                     "coeff's work estimate is 27508", id="coeff-work-past-floats"),
         # both signs: 1000 rows costing at most row -1000's, 1001 at most row 1000's
         pytest.param(("table", "-m", "5", "--rows", "-1000..1000", "--kmax", "400"),
                      "prefix length times value bits is 152060", id="table-work"),
@@ -155,10 +169,23 @@ def test_guard_rails_refuse_before_computing(runner, monkeypatch, args, message)
         ("table", "-m", "1", "--rows", "-1..-1", "--kmax", "99999"),
         ("table", "-m", "1000", "--rows", "100..100", "--kmax", "99999"),
         ("table", "-m", "1", "--rows", "-9..0", "--kmax", "99999"),
-        # just inside the work and printing bounds (0.8 s and 0.9 s)
+        # just inside the price a T2-ix prefix put on coeff, then the table
+        # work and printing bounds (0.8 s and 0.9 s)
         ("coeff", "-n", "-22000", "-k", "22000", "-m", "1"),
         ("table", "-m", "1", "--rows", "-100000..-100000", "--kmax", "2100"),
         ("table", "-m", "2", "--rows", "-300..300", "--kmax", "600"),
+        # coeff builds no T2-ix prefix: its finite sum has one term here, and
+        # m = 1 is one math.comb (0.55 s for the 199,989 bits of coeff-work)
+        pytest.param(("coeff", "-n", "-1", "-k", "100000", "-m", "2"), id="coeff-prefix"),
+        pytest.param(("coeff", "-n", "-1", "-k", "1000000000", "-m", "2"),
+                     id="coeff-runaway-prefix"),
+        pytest.param(("coeff", "-n", "-100000", "-k", "99999", "-m", "1"), id="coeff-work"),
+        pytest.param(("coeff", "-n", "-25000", "-k", "25000", "-m", "1"),
+                     id="coeff-work-just-past"),
+        pytest.param(("coeff", "-n", "100000", "-k", "50000", "-m", "1"),
+                     id="coeff-work-positive"),
+        pytest.param(("coeff", "-n", "-2", "-k", "1" + "0" * 400, "-m", "2"),
+                     id="coeff-k-past-floats"),
     ],
 )
 def test_guard_rails_admit_queries_at_the_bounds(runner, monkeypatch, args):
@@ -166,6 +193,146 @@ def test_guard_rails_admit_queries_at_the_bounds(runner, monkeypatch, args):
     monkeypatch.setattr(cli_module, "row", lambda n, m, limit: [0] * (limit + 1))
     result = invoke(runner, *args, "--format", "csv")
     assert result.exit_code == 0, result.output
+
+
+SPAN = cli_module.MAX_ROW_SPAN
+HUGE = 10 ** 400  # past what a float holds
+
+
+def _near(bound):
+    return st.integers(bound - 3, bound + 3)
+
+
+@st.composite
+def _coeff_draws(draw):
+    m = draw(st.sampled_from([1, 2, 3, 5, 10, 1000, SPAN]))
+    far = SPAN // m
+    n = draw(st.one_of(st.integers(-far - 2, far + 2), _near(far), _near(-far),
+                       st.sampled_from([HUGE, -HUGE])))
+    k = draw(st.one_of(st.integers(-5, -1), st.integers(0, 3 * SPAN),
+                       _near(abs(n) * m), st.just(HUGE)))
+    return n, k, m
+
+
+@st.composite
+def _table_draws(draw):
+    m = draw(st.sampled_from([1, 2, 5, 1000]))
+    far = SPAN // m
+    lo = draw(st.one_of(st.integers(-far - 2, far + 2), _near(far), _near(-far),
+                        st.just(-HUGE)))
+    hi = lo + draw(st.integers(0, 300))
+    kmax = draw(st.one_of(st.integers(0, 3000), _near(cli_module.MAX_PREFIX - 1),
+                          _near(cli_module.MAX_CELLS // (hi - lo + 1) - 1),
+                          st.just(HUGE)))
+    return m, lo, hi, kmax
+
+
+def _admits(runner, args):
+    """True when the CLI admits ``args``, False when it refuses them before
+    computing anything; any other outcome fails."""
+    with pytest.MonkeyPatch.context() as patch:
+        _forbid_computing(patch)
+        result = invoke(runner, *args)
+    if result.exit_code == 2:
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        return False
+    assert str(result.exception) == "the guard ran after computing", result.output
+    with pytest.MonkeyPatch.context() as patch:
+        # empty rows keep a table of a million cells fast to print
+        patch.setattr(cli_module, "coeff", lambda n, k, m: 0)
+        patch.setattr(cli_module, "row", lambda n, m, limit: [])
+        result = invoke(runner, *args)
+    assert result.exit_code == 0, result.output
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(_coeff_draws())
+def test_coeff_guard_rails_admit_only_what_they_price(draw):
+    n, k, m = draw
+    if _admits(CliRunner(), ("coeff", "-n", str(n), "-k", str(k), "-m", str(m))):
+        assert abs(n) * m <= SPAN
+        assert coeff_cost(n, k, m) <= cli_module.MAX_WORK
+
+
+@settings(max_examples=200, deadline=None)
+@given(_table_draws())
+def test_table_guard_rails_admit_only_what_they_price(draw):
+    # every row is priced here, not only the two ends the CLI prices
+    m, lo, hi, kmax = draw
+    args = ("table", "-m", str(m), "--rows", f"{lo}..{hi}", "--kmax", str(kmax))
+    if _admits(CliRunner(), args):
+        assert max(abs(lo), abs(hi)) * m <= SPAN
+        assert (hi - lo + 1) * (kmax + 1) <= cli_module.MAX_CELLS
+        shapes = [(row_length(n, m, kmax), value_bits(n, m, kmax))
+                  for n in range(lo, hi + 1)]
+        assert max(length for length, _ in shapes) <= cli_module.MAX_PREFIX
+        assert sum(length * bits for length, bits in shapes) <= cli_module.MAX_WORK
+        assert (sum(length * bits * bits for length, bits in shapes)
+                <= cli_module.MAX_PRINT_WORK)
+
+
+def _closed_form_mod(n, k, m, prime=2 ** 61 - 1):
+    """coeff_by_closed_form's sum modulo a prime past |n| + k, through
+    tables of factorials."""
+    fact = [1]
+    for i in range(1, abs(n) + k + 1):
+        fact.append(fact[-1] * i % prime)
+
+    def binom(top, bottom):
+        if bottom < 0:
+            return 0
+        if top < 0:
+            return (-1) ** bottom * binom(bottom - top - 1, bottom)
+        if bottom > top:
+            return 0
+        return fact[top] * pow(fact[bottom] * fact[top - bottom], -1, prime)
+
+    total = 0
+    for j in range(k // (m + 1) + 1):
+        r = k - j * (m + 1)
+        total += (-1) ** j * binom(n, j) * binom(n + r - 1, r)
+    return total % prime
+
+
+def _limit_memory():
+    # in the child only, between fork and exec
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+@pytest.mark.skipif(resource is None, reason="no resource module on this platform")
+@pytest.mark.parametrize(
+    "n,k,m,check",
+    [
+        (-3, 100000, 2, lambda value: value == coeff_by_closed_form(-3, 100000, 2)),
+        (20000, 50000, 5,
+         lambda value: value % (2 ** 61 - 1) == _closed_form_mod(20000, 50000, 5)),
+        (99999, 49999, 1, lambda value: value == math.comb(99999, 49999)),
+        (-1, 10 ** 9, 2, lambda value: value == chi(2, 10 ** 9)),
+        # just inside coeff's work bound
+        (-30000, 130000, 2,
+         lambda value: value % (2 ** 61 - 1) == _closed_form_mod(-30000, 130000, 2)),
+    ],
+    ids=["short-sum", "sum", "binomial", "one-term", "just-inside"],
+)
+def test_admitted_coeff_answers_in_time_and_memory(n, k, m, check):
+    # a fresh process under a 512 MB address-space limit, one BLAS thread so
+    # numpy's import reserves the same space on any host
+    env = {**os.environ, "PYTHONPATH": str(Path(cli_module.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    result = subprocess.run(
+        [sys.executable, "-m", "polycoeffs", "coeff", "-n", str(n), "-k", str(k),
+         "-m", str(m)],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory,
+    )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert result.returncode == 0, result.stderr
+    # the child's CPU time from its start, which a busy host does not inflate
+    # as it does the wall clock
+    assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 2.0
+    assert check(int(Decimal(result.stdout)))  # past the int-from-str digit cap
 
 
 def test_coeff_rejects_bad_degree(runner):

@@ -392,6 +392,56 @@ def test_negative_row_cost_is_bounded_by_n_not_k():
     assert elapsed < 0.05
 
 
+def _traced_sum(n, k, m):
+    """coeff(n, k, m), the math.perm calls its finite sum makes (two a step)
+    and the widest term it holds, read from the kernel's frame."""
+    seen = {"perms": 0, "widest": 0}
+
+    def profile(frame, event, arg):
+        if frame.f_code is not coefficients._finite_sum.__code__:
+            return
+        if (event == "c_call" and arg is math.perm) or event == "return":
+            term = frame.f_locals.get("term", 0)
+            seen["widest"] = max(seen["widest"], term.bit_length())
+            seen["perms"] += event == "c_call"
+
+    sys.setprofile(profile)
+    try:
+        value = coeff(n, k, m)
+    finally:
+        sys.setprofile(None)
+    return value, seen["perms"], seen["widest"]
+
+
+def _assert_priced(n, k, m):
+    # the price counts every step and bounds every term's bits, and a single
+    # math.comb's value at m = 1; a b-bit bound allows a bit length of b + 1
+    steps, bits = coefficients._coeff_size(n, k, m)
+    value, perms, widest = _traced_sum(n, k, m)
+    assert perms == 2 * steps
+    assert widest <= bits + 1
+    if m == 1:
+        assert value.bit_length() <= bits + 1
+
+
+@settings(max_examples=300)
+@given(st.integers(-60, 60), st.integers(1, 8), st.data())
+def test_coeff_price_counts_what_the_kernel_computes(n, m, data):
+    # k < 0, k' = 0, both sides of the middle, and past the support
+    k = data.draw(st.integers(-3, m * abs(n) + 3 * abs(n) + 10), label="k")
+    _assert_priced(n, k, m)
+
+
+@pytest.mark.parametrize(
+    "n,k,m",
+    [(0, 0, 2), (0, 5, 3), (7, 0, 2), (7, 14, 2), (-7, 0, 2), (-1, 10 ** 9, 2),
+     (-4, 10 ** 30, 3), (-300, 10 ** 6, 2), (500, 700, 3), (-500, 2000, 8),
+     (-2000, 1999, 1), (2000, 1000, 1), (40, 10 ** 5, 10 ** 5)],
+)
+def test_coeff_price_counts_what_the_kernel_computes_far_out(n, k, m):
+    _assert_priced(n, k, m)
+
+
 @given(
     st.one_of(st.integers(-300, 300), st.just(0)),
     st.integers(1, 8),
