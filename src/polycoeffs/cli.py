@@ -21,39 +21,55 @@ import threading
 import click
 
 from . import __version__
-from .coefficients import coeff, coeff_cost, row, row_length, value_bits
+from .coefficients import coeff, coeff_cost, row, row_cost, row_length, value_bits
 from .errors import MismatchError, TooLarge
-from .genfun import carlitz_gf, column_gf, pk_by_recurrence
+from .genfun import carlitz_cost, carlitz_gf, column_cost, column_gf, pk_by_recurrence, pk_cost
 from .identities import PROFILES, build_registry, run_identity
 from .series import IntPolynomial, TruncatedSeries
 from .trinomial import NUMERIC_CHECKS
 
 FORMATS = click.Choice(["plain", "json", "csv"])
 
-# Guard rails for coeff and table, checked before anything is computed: the
-# span first, so no float sees a huge -n, then the price each kernel puts on
-# itself in coefficients.py, which for coeff also bounds printing its value.
+# Guard rails, checked before anything is computed.  First the span, |n|*m
+# of the farthest row a query reads, so no float sees a huge input; for
+# genfun the terms it expands, and P_k's k + 1 polynomials, count as rows
+# too.  Then its price, in work units of about a nanosecond: what each kernel
+# puts on itself next to its code, plus printing for coeff and table (the
+# series products of genfun cost more than printing their terms).
 MAX_ROW_SPAN = 10 ** 5  # |n|*m, which bounds the size of a row's values
-MAX_PREFIX = 10 ** 5  # coefficients computed for one table row
-MAX_CELLS = 10 ** 6  # table cells, rows * (kmax + 1)
-MAX_WORK = 10 ** 9  # about a second: coeff's price, or its rows' prices summed over a table
-MAX_PRINT_WORK = 5 * 10 ** 11  # values printed times value bits squared
-
-# Guard rails for genfun, one set per kind, on what its cost grows with.  The
-# diagonal composes terms-long series with p_m, m + 1 Horner steps of series
-# products whose values the farthest row's |n|*m bounds.  P_k takes k steps,
-# each a product with the (m+2)-term kernel x(1-x)^m.  A column series adds
-# to P_k a few terms-long products and a direct coefficient per term.
-MAX_GENFUN_SPAN = 20_000  # |n|*m of the diagonal's farthest row
-MAX_GENFUN_TERMS = 1_200  # (m+1)*terms (carlitz), (m+1)*(k+1) and terms (columns)
+MAX_WORK = 10 ** 9  # about a second
 
 
-def _check_limits(*limits) -> None:
-    """Raise ``TooLarge`` for the first ``(what, value, bound)`` whose value,
-    rounded up, is past its bound."""
-    for what, value, bound in limits:
-        if math.ceil(value) > bound:
-            raise TooLarge(f"{what} is {math.ceil(value)}, over the bound of {bound}")
+def _check_bounds(command: str, span: int, price) -> None:
+    """Raise ``TooLarge`` when ``span`` is past ``MAX_ROW_SPAN``, then when
+    ``price()``, rounded up, is past ``MAX_WORK``; ``price`` is called only
+    once the span is within its bound."""
+    if span > MAX_ROW_SPAN:
+        raise TooLarge(f"|n|*m is {span}, over the bound of {MAX_ROW_SPAN}")
+    work = math.ceil(price())
+    if work > MAX_WORK:
+        raise TooLarge(f"{command}'s work estimate is {work}, over the bound of {MAX_WORK}")
+
+
+def _print_cost(values: int, bits: float) -> int:
+    """The work units of printing ``values`` integers of at most ``bits``
+    bits: 300 a value for its string and its place in the output, plus
+    bits^2/600, as CPython converts an int to decimal in quadratic time."""
+    return values * (300 + math.ceil(bits * bits / 600))
+
+
+def _table_price(m: int, lo: int, hi: int, kmax: int) -> int:
+    """``table``'s price: its rows, each of one sign at the price of the one
+    farthest from 0, built and printed, zero padding and the csv header
+    included.  An int, so a ``kmax`` of any size prices exactly."""
+    negative = max(min(hi, -1) - lo + 1, 0)
+    price = _print_cost(kmax + 1, 0)
+    for n, count in ((lo, negative), (hi, hi - lo + 1 - negative)):
+        length = row_length(n, m, kmax)
+        printed = _print_cost(length, value_bits(n, m, kmax))
+        padding = _print_cost(kmax + 1 - length, 0)
+        price += count * (row_cost(n, m, kmax) + printed + padding)
+    return price
 
 
 def _refuse_too_large(command):
@@ -122,8 +138,8 @@ def cli(ctx):
 @_refuse_too_large
 def cmd_coeff(n, k, m, fmt):
     """Print one coefficient exactly."""
-    _check_limits(("|n|*m", abs(n) * m, MAX_ROW_SPAN))
-    _check_limits(("coeff's work estimate", coeff_cost(n, k, m), MAX_WORK))
+    _check_bounds("coeff", abs(n) * m, lambda: coeff_cost(n, k, m)
+                  + _print_cost(1, value_bits(n, m, max(k, 0))))
     value = coeff(n, k, m)
     if fmt == "json":
         click.echo(json.dumps({"n": n, "k": k, "m": m, "value": str(value)}))
@@ -146,22 +162,7 @@ def cmd_table(m, rows, kmax, fmt):
     if kmax < 0:
         raise click.BadParameter("kmax must be non-negative", param_hint="--kmax")
     lo, hi = rows
-    prefix = {n: row_length(n, m, kmax) for n in rows}
-    _check_limits(
-        ("|n|*m", max(abs(lo), abs(hi)) * m, MAX_ROW_SPAN),
-        ("the row prefix length", max(prefix.values()), MAX_PREFIX),
-        ("the table cell count", (hi - lo + 1) * (kmax + 1), MAX_CELLS),
-    )
-    # rows of one sign cost the most at the end farthest from 0
-    negative = max(min(hi, -1) - lo + 1, 0)
-    ends = [(count, prefix[n], value_bits(n, m, kmax))
-            for n, count in ((lo, negative), (hi, hi - lo + 1 - negative)) if count]
-    _check_limits(
-        ("prefix length times value bits",
-         sum(count * length * bits for count, length, bits in ends), MAX_WORK),
-        ("values printed times value bits squared",
-         sum(count * length * bits * bits for count, length, bits in ends), MAX_PRINT_WORK),
-    )
+    _check_bounds("table", max(abs(lo), abs(hi)) * m, lambda: _table_price(m, lo, hi, kmax))
     table = [(n, row(n, m, kmax)) for n in range(lo, hi + 1)]
     if fmt == "json":
         payload = {
@@ -232,16 +233,15 @@ def cmd_genfun(kind, m, k, a, b, terms, fmt):
     if kind != "pk" and terms < 1:
         raise click.BadParameter("terms must be at least 1", param_hint="--terms")
     if kind == "carlitz":
-        # the diagonal reaches rows a + b*j for j < terms
-        span = (abs(a) + abs(b) * (terms - 1)) * m
-        _check_limits(("|n|*m", span, MAX_GENFUN_SPAN),
-                      ("(m+1)*terms", (m + 1) * terms, MAX_GENFUN_TERMS))
+        # the diagonal reaches rows a + b*j for j < terms, its solve rows b*j
+        far = abs(a) + abs(b) * (terms - 1)
+        _check_bounds("genfun", max(far, terms) * m,
+                      lambda: carlitz_cost(a, b, m, terms - 1))
+    elif kind == "pk":
+        _check_bounds("genfun", (k + 1) * m, lambda: pk_cost(m, k))
     else:
-        # P_k, and for a column series its expansion to --terms
-        limits = [("(m+1)*(k+1)", (m + 1) * (k + 1), MAX_GENFUN_TERMS)]
-        if kind != "pk":
-            limits.append(("--terms", terms, MAX_GENFUN_TERMS))
-        _check_limits(*limits)
+        # the column series reads rows 0..terms-1, of either sign
+        _check_bounds("genfun", max(terms, k + 1) * m, lambda: column_cost(k, m, terms - 1))
     try:
         if kind == "pk":
             poly = pk_by_recurrence(m, k)

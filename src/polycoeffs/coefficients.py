@@ -17,7 +17,7 @@ n >= 0 it reads <n,k> as <n,mn-k> past the middle of the row.  ``row`` does
 not mirror, so row symmetry (T2-ii) stays a check of its kernel, and
 ``coeff_by_recurrence`` keeps T2-ix as an oracle for single coefficients.
 Each kernel prices itself, in work units of about a nanosecond: ``row``
-costs ``row_length`` times ``value_bits``, and ``coeff`` costs ``coeff_cost``.
+costs ``row_cost`` and ``coeff`` costs ``coeff_cost``.
 
 Direct series expansion (``coeff_by_series``) goes through J.C.P. Miller's
 rule for powers of a series (``series.power``), the general form of T2-ix
@@ -88,12 +88,19 @@ def row_length(n: int, m: int, limit: int) -> int:
 
 
 def value_bits(n: int, m: int, last: int) -> float:
-    """A bound on the bit length of <n,k>_m for 0 <= k <= last, and the work
-    units of a T2-ix step: C(|n|+k-1, k) for n < 0, (m+1)^n for n >= 0."""
-    if n >= 0:
-        return n * math.log2(m + 1) + 1
-    log_binom = math.lgamma(last - n) - math.lgamma(last + 1) - math.lgamma(-n)
-    return log_binom / math.log(2) + 1
+    """A bound on the bit length of <n,k>_m for 0 <= k <= last, ``last`` of
+    any size: C(|n|+last-1, last), the coefficient of t^last in (1-t)^(-|n|),
+    and for n >= 0 also (m+1)^n."""
+    if n > 0:
+        return min(n * math.log2(m + 1), _binom_bits(n + last - 1, last)) + 1
+    return _binom_bits(last - n - 1, last) + 1 if n else 1
+
+
+def row_cost(n: int, m: int, limit: int) -> int:
+    """``row``'s price in work units of about a nanosecond: ``row_length``
+    T2-ix steps of 300 units plus ``value_bits`` each, as an int, so a
+    ``limit`` of any size prices without float overflow."""
+    return row_length(n, m, limit) * math.ceil(300 + value_bits(n, m, limit))
 
 
 def coeff_by_recurrence(n: int, k: int, m: int) -> int:
@@ -216,30 +223,42 @@ def _binom_bits(top: int, bottom: int) -> float:
     return low * (math.log2(2 * top - low + 1) - 1) - math.lgamma(low + 1) / math.log(2)
 
 
-def _coeff_size(n: int, k: int, m: int) -> tuple[int, float]:
+def _coeff_size(n: int, k: int, m: int) -> tuple[int, float, float]:
     """The steps ``coeff``'s finite sum takes, one fewer than its terms (0
-    for one ``math.comb``), and a bound on the bits of every term in it."""
+    for one ``math.comb``), a bound on the bits of every term in it, and the
+    width of what it divides by: at m = 1 the smaller index K of its
+    math.comb(N, K), which divides by C(K, K/2), a K-bit integer; else a
+    bound on the bits of each step's two math.perm(., m+1) products,
+    (m+1) log2 of their largest factor."""
     if n >= 0:
         k = min(k, m * n - k)  # below 0 past the row's support too
     if k <= 0:
-        return 0, 0.0
+        return 0, 0.0, 0.0
     if m == 1:
-        return 0, _binom_bits(n, k) if n >= 0 else _binom_bits(k - n - 1, k)
+        if n >= 0:
+            return 0, _binom_bits(n, k), k
+        return 0, _binom_bits(k - n - 1, k), min(k, -n - 1)
     last = k // (m + 1)
     if n >= 0:  # C(n, j) C(n+r-1, r) with j <= last < n/2 and r <= k
-        return last, _binom_bits(n, last) + _binom_bits(n + k - 1, k)
+        width = (m + 1) * math.log2(n + k - 1)
+        return last, _binom_bits(n, last) + _binom_bits(n + k - 1, k), width
     # C(p+j-1, j) C(p, r) with ceil((k - p)/(m+1)) <= j <= last and r <= min(k, p)
     steps = last - max(0, -((n + k) // -(m + 1)))
-    return max(steps, 0), _binom_bits(last - n - 1, last) + _binom_bits(-n, min(k, -n // 2))
+    bits = _binom_bits(last - n - 1, last) + _binom_bits(-n, min(k, -n // 2))
+    return max(steps, 0), bits, (m + 1) * math.log2(m + 1 - n)
 
 
 def coeff_cost(n: int, k: int, m: int) -> float:
-    """``coeff``'s price in work units of about a nanosecond, b from
-    ``_coeff_size``: b^2/64 for the starting binomials (CPython divides in
-    quadratic time), b (m + 14)/20 a step.  10^9 units took 0.5 to 1.1 s at
-    |n| m <= 10^5 and m <= 300; at m in the thousands a step costs more."""
-    steps, bits = _coeff_size(n, k, m)
-    return bits * (steps * (m + 14) / 20 + bits / 64)
+    """``coeff``'s price in work units of about a nanosecond, from
+    ``_coeff_size``'s bound b on the bits of its terms and width w.  At
+    m = 1, b w / 40 for its math.comb.  Else b^2/64 for the starting
+    binomials (CPython divides in quadratic time), and per step b (m+14)/20
+    for the step's product and exact division, and w^1.585/16 for its two
+    math.perm products (CPython multiplies large integers by Karatsuba)."""
+    steps, bits, width = _coeff_size(n, k, m)
+    if m == 1:
+        return bits * width / 40
+    return bits * (steps * (m + 14) / 20 + bits / 64) + steps * width ** 1.585 / 16
 
 
 def coeff(n: int, k: int, m: int) -> int:

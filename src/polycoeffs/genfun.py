@@ -10,7 +10,9 @@ single entries of the triangle, [x^k] y = <b k, k-1>_m / k, each read by
 with the polynomials p_m and p_m', a power and an inverse, is independent of
 that formula, and its check reads ``coeff`` at other points, <a + b j, j>.
 Every series built here is checked against direct coefficient computation
-before it is returned.
+before it is returned.  Each expansion is priced next to its code, in work
+units of about a nanosecond, as ``coefficients`` prices ``coeff``:
+``pk_cost``, ``column_cost`` and ``carlitz_cost``.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coefficients import _require_degree, coeff, row
+from .coefficients import _require_degree, coeff, coeff_cost, row, value_bits
 from .errors import MismatchError
 from .series import IntPolynomial, TruncatedSeries, solve_carlitz_y
 
@@ -51,6 +53,22 @@ def pk_by_recurrence(m: int, k: int) -> IntPolynomial:
     if k < 0:
         return IntPolynomial()
     return _pk_list(m, k)[k]
+
+
+def pk_cost(m: int, k: int) -> float:
+    """``pk_by_recurrence``'s price in work units of about a nanosecond:
+    the kernel, m Miller steps on binomials of up to m bits, then k steps
+    that rewrite P_(j-1), 300 units a term, and past j = m multiply the
+    (m+2)-term kernel by P_(j-m-1), below j - m terms of ``_pk_bits``."""
+    lag = max(k - m, 0)
+    term = 100 + _pk_bits(m, k) * (m + 30) / 800
+    return m * (1000 + m / 3) + 150 * k * k + (m + 2) * lag * lag / 2 * term
+
+
+def _pk_bits(m: int, k: int) -> int:
+    """About the bits of P_k's largest coefficient, as measured: 1 at m = 1,
+    0.55 k at m = 2, 0.9 k at m = 5 and k at m = 100."""
+    return k - k // m + 1
 
 
 def pk_by_explicit(m: int, k: int) -> IntPolynomial:
@@ -158,6 +176,18 @@ def column_gf(k: int, m: int, sign: str, order: int) -> ColumnGF:
     return ColumnGF(k, m, sign, series)
 
 
+def column_cost(k: int, m: int, order: int) -> float:
+    """``column_gf``'s price in work units, either sign: ``pk_cost``, then
+    for each of the order + 1 terms a Miller step of (1-x)^(-(k+1)), whose
+    terms C(n+k, k) bound the series' own, a product with P_k, of up to
+    k + 1 terms of ``_pk_bits``, and a direct coefficient, priced at the
+    farthest row's."""
+    bits = value_bits(-(k + 1), m, order)
+    check = max(coeff_cost(order, k, m), coeff_cost(-order, k, m))
+    return pk_cost(m, k) + (order + 1) * (
+        3000 + bits / 8 + (k + 1) * (100 + bits * _pk_bits(m, k) / 800) + check)
+
+
 def pk2_closed_form_check(k_max: int) -> bool:
     """Check the m = 2 closed form of the column polynomials.
 
@@ -214,6 +244,28 @@ def f_numbers(m: int, count: int) -> FNumberSeq:
         if values[n] != 2 * values[n - 1] - lag:
             raise MismatchError(f"f-number recurrence fails at n={n} for m={m}")
     return FNumberSeq(m, tuple(values))
+
+
+def carlitz_cost(a: int, b: int, m: int, order: int) -> float:
+    """``carlitz_gf``'s price in work units of about a nanosecond.
+
+    The 2m + 1 Horner steps of its two compositions with y, 3000 units plus
+    300 a term each; then, over the order + 1 terms, the multiply-adds of
+    their products and of the power, inverse and product, priced by the
+    bits of the farthest row the diagonal reads, and the solve's and the
+    check's ``coeff`` calls, priced at their farthest.  y = x when b = 0,
+    and p_m(y) then has m + 1 terms.
+    """
+    terms = order + 1
+    far = abs(a) + abs(b) * order
+    bits = value_bits(far if a >= 0 and b >= 0 else -far, m, order)
+    y_terms = terms if b else 1
+    py_terms = min(terms, m * y_terms + 1)
+    products = ((2 * m + 1) * y_terms + 2 * py_terms + terms) / 2  # multiply-adds a term
+    solve = coeff_cost(b * order, order - 1, m) if order else 0
+    check = max(coeff_cost(far, order, m), coeff_cost(-far, order, m))
+    return (2 * m + 1) * (3000 + 300 * terms) + terms * (
+        2000 + products * (100 + bits * bits / 6000) + solve + check)
 
 
 def carlitz_gf(a: int, b: int, m: int, order: int) -> TruncatedSeries:

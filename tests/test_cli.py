@@ -24,9 +24,11 @@ from polycoeffs.coefficients import (
     coeff_by_closed_form,
     coeff_cost,
     row,
+    row_cost,
     row_length,
     value_bits,
 )
+from polycoeffs.genfun import carlitz_cost, column_cost, pk_cost
 
 try:
     import resource
@@ -117,35 +119,37 @@ def _forbid_computing(monkeypatch):
                      "|n|*m is 2000000", id="coeff-far-row"),
         pytest.param(("table", "-m", "2", "--rows", "-3..50001", "--kmax", "0"),
                      "|n|*m is 100002", id="table-span"),
-        pytest.param(("table", "-m", "1", "--rows", "-1..-1", "--kmax", "100000"),
-                     "row prefix length is 100001", id="table-prefix-negative-row"),
+        # two million cells of a row of +-1; its first 100,001 are admitted below
+        pytest.param(("table", "-m", "1", "--rows", "-1..-1", "--kmax", "2000000"),
+                     "table's work estimate is 1804000902", id="table-prefix-negative-row"),
         pytest.param(("table", "-m", "1", "--rows", "100000..100000", "--kmax", "100000"),
-                     "row prefix length is 100001", id="table-prefix-positive-row"),
-        pytest.param(("table", "-m", "1", "--rows", "-10..0", "--kmax", "90909"),
-                     "table cell count is 1000010", id="table-cells"),
+                     "table's work estimate is 1676806967902", id="table-prefix-positive-row"),
+        pytest.param(("table", "-m", "1", "--rows", "-10..0", "--kmax", "200000"),
+                     "table's work estimate is 1672008662", id="table-cells"),
         pytest.param(("coeff", "-n", "-1" + "0" * 400, "-k", "3", "-m", "1"),
                      "|n|*m is 1" + "0" * 400, id="coeff-span-past-floats"),
-        # inside the span bound, but the finite sum takes 1.5 to 1.8 s; the
+        # inside the span bound, but the finite sum takes 1.3 to 1.8 s; the
         # prices come from lgamma, so only their leading digits are pinned
         pytest.param(("coeff", "-n", "-50000", "-k", "99999", "-m", "2"),
-                     "coeff's work estimate is 20338", id="coeff-work-sum-negative"),
+                     "coeff's work estimate is 20661", id="coeff-work-sum-negative"),
         pytest.param(("coeff", "-n", "50000", "-k", "50000", "-m", "2"),
-                     "coeff's work estimate is 23054", id="coeff-work-sum-positive"),
-        # one math.comb of about 380,000 bits
-        pytest.param(("coeff", "-n", "-100000", "-k", "200000", "-m", "1"),
-                     "coeff's work estimate is 11941", id="coeff-work-binomial"),
+                     "coeff's work estimate is 23164", id="coeff-work-sum-positive"),
+        # 0.82 s in-process, just past the bound with its printing priced
+        pytest.param(("coeff", "-n", "-30000", "-k", "130000", "-m", "2"),
+                     "coeff's work estimate is 10045", id="coeff-work-sum-just-past"),
+        # one math.comb of about 490,000 bits, divided by a 100,000-bit one
+        pytest.param(("coeff", "-n", "-100000", "-k", "1000000", "-m", "1"),
+                     "coeff's work estimate is 15983", id="coeff-work-binomial"),
         pytest.param(("coeff", "-n", "-1000", "-k", "1" + "0" * 400, "-m", "2"),
-                     "coeff's work estimate is 27508", id="coeff-work-past-floats"),
+                     "coeff's work estimate is 30407", id="coeff-work-past-floats"),
         # both signs: 1000 rows costing at most row -1000's, 1001 at most row 1000's
         pytest.param(("table", "-m", "5", "--rows", "-1000..1000", "--kmax", "400"),
-                     "prefix length times value bits is 152060", id="table-work"),
+                     "table's work estimate is 3395881332", id="table-work"),
         # about 30 s, most of it printing 20,001 values of up to 40,000 bits
         pytest.param(("table", "-m", "1", "--rows", "-20000..-20000", "--kmax", "20000"),
-                     "values printed times value bits squared is 319888",
-                     id="table-printing"),
+                     "table's work estimate is 55628541288", id="table-printing"),
         pytest.param(("table", "-m", "1", "--rows", "9900..9900", "--kmax", "9900"),
-                     "values printed times value bits squared is 970593059701",
-                     id="table-printing-positive-row"),
+                     "table's work estimate is 1724605685", id="table-printing-positive-row"),
     ],
 )
 def test_guard_rails_refuse_before_computing(runner, monkeypatch, args, message):
@@ -186,6 +190,14 @@ def test_guard_rails_refuse_before_computing(runner, monkeypatch, args, message)
                      id="coeff-work-positive"),
         pytest.param(("coeff", "-n", "-2", "-k", "1" + "0" * 400, "-m", "2"),
                      id="coeff-k-past-floats"),
+        # refused by the bounds that priced cells and math.comb by proxies:
+        # 0.05 s and 0.8 s in-process, and 0.63 s for the binomial
+        pytest.param(("table", "-m", "1", "--rows", "-1..-1", "--kmax", "100000"),
+                     id="table-prefix-negative-row"),
+        pytest.param(("table", "-m", "1", "--rows", "-10..0", "--kmax", "90909"),
+                     id="table-cells"),
+        pytest.param(("coeff", "-n", "-100000", "-k", "200000", "-m", "1"),
+                     id="coeff-work-binomial"),
     ],
 )
 def test_guard_rails_admit_queries_at_the_bounds(runner, monkeypatch, args):
@@ -201,6 +213,19 @@ HUGE = 10 ** 400  # past what a float holds
 
 def _near(bound):
     return st.integers(bound - 3, bound + 3)
+
+
+def _last_admitted(price, top):
+    """The largest x in 0..top with price(x) <= MAX_WORK, price growing with
+    x, or -1 when there is none."""
+    lo, hi = -1, top
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if price(mid) <= cli_module.MAX_WORK:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 @st.composite
@@ -221,30 +246,36 @@ def _table_draws(draw):
     lo = draw(st.one_of(st.integers(-far - 2, far + 2), _near(far), _near(-far),
                         st.just(-HUGE)))
     hi = lo + draw(st.integers(0, 300))
-    kmax = draw(st.one_of(st.integers(0, 3000), _near(cli_module.MAX_PREFIX - 1),
-                          _near(cli_module.MAX_CELLS // (hi - lo + 1) - 1),
-                          st.just(HUGE)))
-    return m, lo, hi, kmax
+    kmaxes = [st.integers(0, 3000), st.just(HUGE)]
+    if max(abs(lo), abs(hi)) * m <= SPAN:
+        bound = _last_admitted(lambda kmax: cli_module._table_price(m, lo, hi, kmax), 10 ** 7)
+        kmaxes.append(_near(max(bound, 3)))
+    return m, lo, hi, draw(st.one_of(kmaxes))
 
 
-def _admits(runner, args):
+def _admits(runner, args, forbid=None, stub=None):
     """True when the CLI admits ``args``, False when it refuses them before
-    computing anything; any other outcome fails."""
+    computing anything; any other outcome fails.  ``forbid`` makes the
+    kernels raise and ``stub`` makes them fast, for the admitted run."""
     with pytest.MonkeyPatch.context() as patch:
-        _forbid_computing(patch)
+        (forbid or _forbid_computing)(patch)
         result = invoke(runner, *args)
     if result.exit_code == 2:
         assert result.stdout == ""
         assert result.stderr.startswith("error: ")
         return False
-    assert str(result.exception) == "the guard ran after computing", result.output
+    assert str(result.exception).startswith("the guard ran after"), result.output
     with pytest.MonkeyPatch.context() as patch:
-        # empty rows keep a table of a million cells fast to print
-        patch.setattr(cli_module, "coeff", lambda n, k, m: 0)
-        patch.setattr(cli_module, "row", lambda n, m, limit: [])
+        (stub or _stub_computing)(patch)
         result = invoke(runner, *args)
     assert result.exit_code == 0, result.output
     return True
+
+
+def _stub_computing(patch):
+    # empty rows keep a table of a million cells fast to print
+    patch.setattr(cli_module, "coeff", lambda n, k, m: 0)
+    patch.setattr(cli_module, "row", lambda n, m, limit: [])
 
 
 @settings(max_examples=300, deadline=None)
@@ -253,7 +284,8 @@ def test_coeff_guard_rails_admit_only_what_they_price(draw):
     n, k, m = draw
     if _admits(CliRunner(), ("coeff", "-n", str(n), "-k", str(k), "-m", str(m))):
         assert abs(n) * m <= SPAN
-        assert coeff_cost(n, k, m) <= cli_module.MAX_WORK
+        printing = cli_module._print_cost(1, value_bits(n, m, max(k, 0)))
+        assert coeff_cost(n, k, m) + printing <= cli_module.MAX_WORK
 
 
 @settings(max_examples=200, deadline=None)
@@ -264,13 +296,13 @@ def test_table_guard_rails_admit_only_what_they_price(draw):
     args = ("table", "-m", str(m), "--rows", f"{lo}..{hi}", "--kmax", str(kmax))
     if _admits(CliRunner(), args):
         assert max(abs(lo), abs(hi)) * m <= SPAN
-        assert (hi - lo + 1) * (kmax + 1) <= cli_module.MAX_CELLS
-        shapes = [(row_length(n, m, kmax), value_bits(n, m, kmax))
-                  for n in range(lo, hi + 1)]
-        assert max(length for length, _ in shapes) <= cli_module.MAX_PREFIX
-        assert sum(length * bits for length, bits in shapes) <= cli_module.MAX_WORK
-        assert (sum(length * bits * bits for length, bits in shapes)
-                <= cli_module.MAX_PRINT_WORK)
+        printing = cli_module._print_cost
+        price = printing(kmax + 1, 0)  # the csv header
+        for n in range(lo, hi + 1):
+            length = row_length(n, m, kmax)
+            price += (row_cost(n, m, kmax) + printing(length, value_bits(n, m, kmax))
+                      + printing(kmax + 1 - length, 0))
+        assert price <= cli_module.MAX_WORK
 
 
 def _closed_form_mod(n, k, m, prime=2 ** 61 - 1):
@@ -301,30 +333,80 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 
 
+def _coeff_value(n, k, m, check):
+    # the printed value is read past the int-from-str digit cap
+    return (("coeff", "-n", str(n), "-k", str(k), "-m", str(m)),
+            lambda out: check(int(Decimal(out))))
+
+
+def _series_ends(expected):
+    """A check that a genfun's JSON has ``len(expected)`` terms, each None
+    there or the integer given."""
+    def check(out):
+        coeffs = json.loads(out)["coeffs"]
+        return len(coeffs) == len(expected) and all(
+            want is None or int(Decimal(got)) == want for got, want in zip(coeffs, expected))
+    return check
+
+
+def _column_from_pk(n, k, m):
+    # [x^n] P_k(x) / (1-x)^(k+1) is <n,k>_m
+    def check(out):
+        p = [int(c) for c in json.loads(out)["coeffs"]]
+        return sum(c * math.comb(n - i + k, k) for i, c in enumerate(p[:n + 1])) == coeff(n, k, m)
+    return check
+
+
+def _row_end(n, k, m):
+    def check(out):
+        cells = out.split()
+        return cells[0] == f"{n}:" and len(cells) == k + 2 and int(cells[-1]) == coeff(n, k, m)
+    return check
+
+
 @pytest.mark.skipif(resource is None, reason="no resource module on this platform")
 @pytest.mark.parametrize(
-    "n,k,m,check",
+    "args,check",
     [
-        (-3, 100000, 2, lambda value: value == coeff_by_closed_form(-3, 100000, 2)),
-        (20000, 50000, 5,
-         lambda value: value % (2 ** 61 - 1) == _closed_form_mod(20000, 50000, 5)),
-        (99999, 49999, 1, lambda value: value == math.comb(99999, 49999)),
-        (-1, 10 ** 9, 2, lambda value: value == chi(2, 10 ** 9)),
+        pytest.param(*_coeff_value(-3, 100000, 2,
+                                   lambda value: value == coeff_by_closed_form(-3, 100000, 2)),
+                     id="short-sum"),
+        pytest.param(*_coeff_value(20000, 50000, 5, lambda value: value % (2 ** 61 - 1)
+                                   == _closed_form_mod(20000, 50000, 5)),
+                     id="sum"),
+        pytest.param(*_coeff_value(99999, 49999, 1,
+                                   lambda value: value == math.comb(99999, 49999)),
+                     id="binomial"),
+        pytest.param(*_coeff_value(-1, 10 ** 9, 2, lambda value: value == chi(2, 10 ** 9)),
+                     id="one-term"),
         # just inside coeff's work bound
-        (-30000, 130000, 2,
-         lambda value: value % (2 ** 61 - 1) == _closed_form_mod(-30000, 130000, 2)),
+        pytest.param(*_coeff_value(-30000, 128000, 2, lambda value: value % (2 ** 61 - 1)
+                                   == _closed_form_mod(-30000, 128000, 2)),
+                     id="just-inside"),
+        # the costliest admitted shapes, per work unit, of each genfun kind and
+        # of table found while calibrating their prices: 0.9 to 1.1 s in-process
+        pytest.param(("genfun", "carlitz", "-a", "5", "-b", "1", "-m", "1000", "--terms", "93",
+                      "--format", "json"),
+                     _series_ends([1, 6] + [None] * 90 + [coeff(97, 92, 1000)]),
+                     id="carlitz-just-inside"),
+        pytest.param(("genfun", "column-", "-k", "100", "-m", "1", "--terms", "62167",
+                      "--format", "json"),
+                     _series_ends([0, 1] + [None] * 62164 + [coeff(-62166, 100, 1)]),
+                     id="column-just-inside"),
+        pytest.param(("genfun", "pk", "-m", "10", "-k", "998", "--format", "json"),
+                     _column_from_pk(1000, 998, 10), id="pk-just-inside"),
+        pytest.param(("table", "-m", "1", "--rows", "-100..-100", "--kmax", "213628"),
+                     _row_end(-100, 213628, 1), id="table-just-inside"),
     ],
-    ids=["short-sum", "sum", "binomial", "one-term", "just-inside"],
 )
-def test_admitted_coeff_answers_in_time_and_memory(n, k, m, check):
+def test_admitted_coeff_answers_in_time_and_memory(args, check):
     # a fresh process under a 512 MB address-space limit, one BLAS thread so
     # numpy's import reserves the same space on any host
     env = {**os.environ, "PYTHONPATH": str(Path(cli_module.__file__).parents[1]),
            "OPENBLAS_NUM_THREADS": "1"}
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     result = subprocess.run(
-        [sys.executable, "-m", "polycoeffs", "coeff", "-n", str(n), "-k", str(k),
-         "-m", str(m)],
+        [sys.executable, "-m", "polycoeffs", *args],
         env=env, capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory,
     )
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
@@ -332,7 +414,7 @@ def test_admitted_coeff_answers_in_time_and_memory(n, k, m, check):
     # the child's CPU time from its start, which a busy host does not inflate
     # as it does the wall clock
     assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 2.0
-    assert check(int(Decimal(result.stdout)))  # past the int-from-str digit cap
+    assert check(result.stdout)
 
 
 def test_coeff_rejects_bad_degree(runner):
@@ -643,27 +725,33 @@ def _forbid_expanding(monkeypatch):
 @pytest.mark.parametrize(
     "args,message",
     [
-        # the diagonal reaches row |a| + |b|*(terms-1): 234 + 33*599 here
-        pytest.param(("carlitz", "-a", "-234", "-b", "-33", "-m", "1", "--terms", "600"),
-                     "|n|*m is 20001", id="carlitz-span"),
-        pytest.param(("carlitz", "-a", "20001", "-b", "0", "-m", "1", "--terms", "1"),
-                     "|n|*m is 20001", id="carlitz-span-a"),
-        pytest.param(("carlitz", "-a", "0", "-b", "1", "-m", "2", "--terms", "401"),
-                     "(m+1)*terms is 1203", id="carlitz-terms"),
-        pytest.param(("carlitz", "-a", "0", "-b", "0", "-m", "1200", "--terms", "1"),
-                     "(m+1)*terms is 1201", id="carlitz-degree"),
+        # the diagonal reaches row |a| + |b|*(terms-1): 5 * (1234 + 33*599) here
+        pytest.param(("carlitz", "-a", "-1234", "-b", "-33", "-m", "5", "--terms", "600"),
+                     "|n|*m is 105005", id="carlitz-span"),
+        pytest.param(("carlitz", "-a", "100001", "-b", "0", "-m", "1", "--terms", "1"),
+                     "|n|*m is 100001", id="carlitz-span-a"),
+        pytest.param(("carlitz", "-a", "0", "-b", "1", "-m", "2", "--terms", "700"),
+                     "genfun's work estimate is 12302", id="carlitz-terms"),
+        pytest.param(("carlitz", "-a", "0", "-b", "0", "-m", "100001", "--terms", "1"),
+                     "|n|*m is 100001", id="carlitz-degree"),
         pytest.param(("carlitz", "-a", "0", "-b", "1", "-m", "2", "--terms", "10000000"),
-                     "|n|*m is 19999998", id="carlitz-runaway-terms"),
-        pytest.param(("column+", "-k", "0", "-m", "1", "--terms", "1201"),
-                     "--terms is 1201", id="column-terms"),
-        pytest.param(("column-", "-k", "600", "-m", "1", "--terms", "5"),
-                     "(m+1)*(k+1) is 1202", id="column-k"),
-        pytest.param(("column+", "-k", "0", "-m", "1200", "--terms", "1"),
-                     "(m+1)*(k+1) is 1201", id="column-degree"),
-        pytest.param(("pk", "-m", "2", "-k", "400"),
-                     "(m+1)*(k+1) is 1203", id="pk-k"),
-        pytest.param(("pk", "-m", "1200", "-k", "0"),
-                     "(m+1)*(k+1) is 1201", id="pk-degree"),
+                     "|n|*m is 20000000", id="carlitz-runaway-terms"),
+        # admitted by the bounds on (m+1)*terms and |n|*m of 20,000: 0.9-1.6 s
+        pytest.param(("carlitz", "-a", "-233", "-b", "-33", "-m", "1", "--terms", "600"),
+                     "genfun's work estimate is 29227", id="carlitz-work"),
+        pytest.param(("column+", "-k", "0", "-m", "1", "--terms", "100001"),
+                     "|n|*m is 100001", id="column-terms"),
+        pytest.param(("column-", "-k", "2000", "-m", "1", "--terms", "5"),
+                     "genfun's work estimate is 12006", id="column-k"),
+        pytest.param(("column+", "-k", "0", "-m", "100001", "--terms", "1"),
+                     "|n|*m is 100001", id="column-degree"),
+        # admitted by the bound on (m+1)*(k+1): 8 ms
+        pytest.param(("column+", "-k", "0", "-m", "1199", "--terms", "1200"),
+                     "|n|*m is 1438800", id="column-span"),
+        pytest.param(("pk", "-m", "2", "-k", "1600"),
+                     "genfun's work estimate is 10583", id="pk-k"),
+        pytest.param(("pk", "-m", "60000", "-k", "0"),
+                     "genfun's work estimate is 1260000000", id="pk-degree"),
     ],
 )
 def test_genfun_guard_rails_refuse_before_expanding(runner, monkeypatch, args, message):
@@ -675,24 +763,7 @@ def test_genfun_guard_rails_refuse_before_expanding(runner, monkeypatch, args, m
     assert message in result.stderr
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ("carlitz", "-a", "-233", "-b", "-33", "-m", "1", "--terms", "600"),
-        ("carlitz", "-a", "20000", "-b", "0", "-m", "1", "--terms", "1"),
-        ("carlitz", "-a", "0", "-b", "1", "-m", "2", "--terms", "400"),
-        ("carlitz", "-a", "0", "-b", "0", "-m", "1199", "--terms", "1"),
-        ("column+", "-k", "0", "-m", "1", "--terms", "1200"),
-        ("column-", "-k", "599", "-m", "1", "--terms", "1200"),
-        ("column+", "-k", "0", "-m", "1199", "--terms", "1200"),
-        # the two column series of perfbench/run.py's series-genfun
-        ("column+", "-k", "20", "-m", "4", "--terms", "301"),
-        ("column-", "-k", "10", "-m", "3", "--terms", "201"),
-        ("pk", "-m", "2", "-k", "399"),
-        ("pk", "-m", "1199", "-k", "0"),
-    ],
-)
-def test_genfun_guard_rails_admit_expansions_at_the_bounds(runner, monkeypatch, args):
+def _stub_expanding(patch):
     from types import SimpleNamespace
 
     from polycoeffs.series import IntPolynomial, TruncatedSeries
@@ -700,12 +771,99 @@ def test_genfun_guard_rails_admit_expansions_at_the_bounds(runner, monkeypatch, 
     def zeros(order):
         return TruncatedSeries([0] * (order + 1))
 
-    monkeypatch.setattr(cli_module, "carlitz_gf", lambda a, b, m, order: zeros(order))
-    monkeypatch.setattr(cli_module, "column_gf",
-                        lambda k, m, sign, order: SimpleNamespace(series=zeros(order)))
-    monkeypatch.setattr(cli_module, "pk_by_recurrence", lambda m, k: IntPolynomial([1]))
+    patch.setattr(cli_module, "carlitz_gf", lambda a, b, m, order: zeros(order))
+    patch.setattr(cli_module, "column_gf",
+                  lambda k, m, sign, order: SimpleNamespace(series=zeros(order)))
+    patch.setattr(cli_module, "pk_by_recurrence", lambda m, k: IntPolynomial([1]))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # refused by the bound on (m+1)*terms though it takes 0.06 s in-process
+        ("carlitz", "-a", "0", "-b", "1", "-m", "10", "--terms", "200"),
+        ("carlitz", "-a", "20000", "-b", "0", "-m", "1", "--terms", "1"),
+        ("carlitz", "-a", "0", "-b", "1", "-m", "2", "--terms", "400"),
+        ("carlitz", "-a", "0", "-b", "0", "-m", "1199", "--terms", "1"),
+        ("column+", "-k", "0", "-m", "1", "--terms", "1200"),
+        ("column-", "-k", "599", "-m", "1", "--terms", "1200"),
+        # a column series as long as the span bound allows at m = 1: 0.2 s
+        ("column+", "-k", "0", "-m", "1", "--terms", "100000"),
+        # the two column series of perfbench/run.py's series-genfun
+        ("column+", "-k", "20", "-m", "4", "--terms", "301"),
+        ("column-", "-k", "10", "-m", "3", "--terms", "201"),
+        ("pk", "-m", "2", "-k", "399"),
+        ("pk", "-m", "1199", "-k", "0"),
+        # refused by the proxy bounds; their in-process times from the CLI
+        pytest.param(("carlitz", "-a", "20001", "-b", "0", "-m", "1", "--terms", "1"),
+                     id="carlitz-span-a"),  # 2 ms
+        pytest.param(("carlitz", "-a", "0", "-b", "1", "-m", "2", "--terms", "401"),
+                     id="carlitz-terms"),  # 0.10 s
+        pytest.param(("carlitz", "-a", "0", "-b", "0", "-m", "1200", "--terms", "1"),
+                     id="carlitz-degree"),  # 10 ms
+        pytest.param(("column+", "-k", "0", "-m", "1", "--terms", "1201"),
+                     id="column-terms"),  # 4 ms
+        pytest.param(("column-", "-k", "600", "-m", "1", "--terms", "5"),
+                     id="column-k"),  # 0.06 s
+        pytest.param(("column+", "-k", "0", "-m", "1200", "--terms", "1"),
+                     id="column-degree"),  # 4 ms
+        pytest.param(("pk", "-m", "2", "-k", "400"), id="pk-k"),  # 0.04 s
+        pytest.param(("pk", "-m", "1200", "-k", "0"), id="pk-degree"),  # 6 ms
+    ],
+)
+def test_genfun_guard_rails_admit_expansions_at_the_bounds(runner, monkeypatch, args):
+    _stub_expanding(monkeypatch)
     result = invoke(runner, "genfun", *args, "--format", "csv")
     assert result.exit_code == 0, result.output
+
+
+def _genfun_price(kind, m, k, a, b, terms):
+    """The span and the price of a genfun query, from the library's prices."""
+    if kind == "carlitz":
+        span = max(abs(a) + abs(b) * (terms - 1), terms) * m
+        return span, lambda: carlitz_cost(a, b, m, terms - 1)
+    if kind == "pk":
+        return (k + 1) * m, lambda: pk_cost(m, k)
+    return max(terms, k + 1) * m, lambda: column_cost(k, m, terms - 1)
+
+
+GENFUN_OPTIONS = {"carlitz": ("a", "b", "terms"), "column+": ("k", "terms"),
+                  "column-": ("k", "terms"), "pk": ("k",)}
+
+
+@st.composite
+def _genfun_draws(draw):
+    # one option near the price bound, past the span or of 400 digits; the
+    # others small
+    kind = draw(st.sampled_from(sorted(GENFUN_OPTIONS)))
+    m = draw(st.one_of(st.sampled_from([1, 2, 3, 10, 1000]), st.integers(1, SPAN)))
+    params = {"k": draw(st.integers(0, 30)), "a": draw(st.integers(-30, 30)),
+              "b": draw(st.integers(-3, 3)), "terms": draw(st.integers(1, 60))}
+    free = draw(st.sampled_from(GENFUN_OPTIONS[kind]))
+    low = 1 if free == "terms" else 0
+
+    def price(x):
+        span, cost = _genfun_price(kind, m, **{**params, free: x + low})
+        return cost() if span <= SPAN else math.inf
+
+    bound = _last_admitted(price, SPAN) + low
+    value = draw(st.one_of(_near(max(bound, low + 3)), st.integers(low, 3000), st.just(HUGE)))
+    sign = -1 if free in ("a", "b") and draw(st.booleans()) else 1
+    params[free] = sign * value
+    return kind, m, params
+
+
+@settings(max_examples=200, deadline=None)
+@given(_genfun_draws())
+def test_genfun_guard_rails_admit_only_what_they_price(draw):
+    kind, m, params = draw
+    args = ["genfun", kind, "-m", str(m)]
+    for name in GENFUN_OPTIONS[kind]:
+        args += ["--terms" if name == "terms" else f"-{name}", str(params[name])]
+    if _admits(CliRunner(), args, forbid=_forbid_expanding, stub=_stub_expanding):
+        span, price = _genfun_price(kind, m, **params)
+        assert span <= SPAN
+        assert price() <= cli_module.MAX_WORK
 
 
 def test_verify_numeric_entry_csv(runner):

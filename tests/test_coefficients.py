@@ -393,9 +393,11 @@ def test_negative_row_cost_is_bounded_by_n_not_k():
 
 
 def _traced_sum(n, k, m):
-    """coeff(n, k, m), the math.perm calls its finite sum makes (two a step)
-    and the widest term it holds, read from the kernel's frame."""
-    seen = {"perms": 0, "widest": 0}
+    """coeff(n, k, m), the math.perm calls its finite sum makes (two a step),
+    the widest term it holds, read from the kernel's frame, and the widest of
+    those products, rebuilt from the r each step reads."""
+    seen = {"perms": 0, "widest": 0, "products": 0}
+    step = m + 1
 
     def profile(frame, event, arg):
         if frame.f_code is not coefficients._finite_sum.__code__:
@@ -403,23 +405,30 @@ def _traced_sum(n, k, m):
         if (event == "c_call" and arg is math.perm) or event == "return":
             term = frame.f_locals.get("term", 0)
             seen["widest"] = max(seen["widest"], term.bit_length())
-            seen["perms"] += event == "c_call"
+        if event == "c_call" and arg is math.perm:
+            seen["perms"] += 1
+            r = frame.f_locals["r"]
+            other = step - n - r if n < 0 else n + r - 1
+            seen["products"] = max(seen["products"], math.perm(r, step).bit_length(),
+                                   math.perm(other, step).bit_length())
 
     sys.setprofile(profile)
     try:
         value = coeff(n, k, m)
     finally:
         sys.setprofile(None)
-    return value, seen["perms"], seen["widest"]
+    return value, seen["perms"], seen["widest"], seen["products"]
 
 
 def _assert_priced(n, k, m):
-    # the price counts every step and bounds every term's bits, and a single
-    # math.comb's value at m = 1; a b-bit bound allows a bit length of b + 1
-    steps, bits = coefficients._coeff_size(n, k, m)
-    value, perms, widest = _traced_sum(n, k, m)
+    # the price counts every step and bounds every term's bits and each
+    # step's math.perm products, and a single math.comb's value at m = 1; a
+    # b-bit bound allows a bit length of b + 1
+    steps, bits, width = coefficients._coeff_size(n, k, m)
+    value, perms, widest, products = _traced_sum(n, k, m)
     assert perms == 2 * steps
     assert widest <= bits + 1
+    assert products <= width + 1
     if m == 1:
         assert value.bit_length() <= bits + 1
 
@@ -436,7 +445,8 @@ def test_coeff_price_counts_what_the_kernel_computes(n, m, data):
     "n,k,m",
     [(0, 0, 2), (0, 5, 3), (7, 0, 2), (7, 14, 2), (-7, 0, 2), (-1, 10 ** 9, 2),
      (-4, 10 ** 30, 3), (-300, 10 ** 6, 2), (500, 700, 3), (-500, 2000, 8),
-     (-2000, 1999, 1), (2000, 1000, 1), (40, 10 ** 5, 10 ** 5)],
+     (-2000, 1999, 1), (2000, 1000, 1), (40, 10 ** 5, 10 ** 5), (100, 50000, 1000),
+     (-3000, 100000, 1000), (3, 43715, 33333)],
 )
 def test_coeff_price_counts_what_the_kernel_computes_far_out(n, k, m):
     _assert_priced(n, k, m)
