@@ -6,9 +6,10 @@ on the negative rows, where P_k is an integer polynomial.  Diagonals of the
 form <a + b*k, k> are generated by a Carlitz-style construction driven by the
 solution of y = x * p_m(y)^b.  Lagrange inversion gives its coefficients as
 single entries of the triangle, [x^k] y = <b k, k-1>_m / k, each read by
-``coeff`` (``series.solve_carlitz_y``).  The construction itself, composition
-with the polynomials p_m and p_m', a power and an inverse, is independent of
-that formula, and its check reads ``coeff`` at other points, <a + b j, j>.
+``coeff`` (``series.solve_carlitz_y``).  The construction itself, the powers
+of y summed into p_m(y) and p_m(y) - b y p_m'(y), then one power of the
+first and one division by the second, is independent of that formula, and
+its check reads ``coeff`` at other points, <a + b j, j>.
 Every series built here is checked against direct coefficient computation
 before it is returned.  Each expansion is priced next to its code, in work
 units of about a nanosecond, as ``coefficients`` prices ``coeff``:
@@ -17,8 +18,11 @@ units of about a nanosecond, as ``coefficients`` prices ``coeff``:
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, islice
+from typing import Iterator
 
 from .coefficients import _require_degree, coeff, coeff_cost, row, value_bits
 from .errors import MismatchError
@@ -30,17 +34,27 @@ def _shift_kernel(m: int) -> IntPolynomial:
     return IntPolynomial([0, 1]) * IntPolynomial([1, -1]) ** m
 
 
+def _pk_sequence(m: int) -> Iterator[IntPolynomial]:
+    """P_0, P_1, ... without end, by P_k = P_{k-1} - x(1-x)^m P_{k-m-1}.
+
+    P_k = x for 1 <= k <= m, so the kernel x(1-x)^m is built only when
+    P_(m+1) is asked for, and only the last m + 1 polynomials are held.
+    """
+    one, x = IntPolynomial([1]), IntPolynomial([0, 1])
+    yield one
+    for _ in range(m):
+        yield x
+    recent = deque([one] + [x] * m)  # P_(j-m-1) .. P_(j-1)
+    kernel = _shift_kernel(m)
+    while True:
+        p = recent[-1] - kernel * recent.popleft()
+        recent.append(p)
+        yield p
+
+
 def _pk_list(m: int, kmax: int) -> list[IntPolynomial]:
     """P_0 .. P_kmax by the recurrence P_k = P_{k-1} - x(1-x)^m P_{k-m-1}."""
-    ps = [IntPolynomial([1])]
-    if kmax >= 1:
-        ps.append(IntPolynomial([0, 1]))
-    kernel = _shift_kernel(m)
-    zero = IntPolynomial()
-    for j in range(2, kmax + 1):
-        lag = ps[j - m - 1] if j - m - 1 >= 0 else zero
-        ps.append(ps[j - 1] - kernel * lag)
-    return ps[: kmax + 1]
+    return list(islice(_pk_sequence(m), kmax + 1))
 
 
 def pk_by_recurrence(m: int, k: int) -> IntPolynomial:
@@ -52,17 +66,18 @@ def pk_by_recurrence(m: int, k: int) -> IntPolynomial:
     _require_degree(m)
     if k < 0:
         return IntPolynomial()
-    return _pk_list(m, k)[k]
+    return next(islice(_pk_sequence(m), k, None))
 
 
 def pk_cost(m: int, k: int) -> float:
     """``pk_by_recurrence``'s price in work units of about a nanosecond:
-    the kernel, m Miller steps on binomials of up to m bits, then k steps
-    that rewrite P_(j-1), 300 units a term, and past j = m multiply the
-    (m+2)-term kernel by P_(j-m-1), below j - m terms of ``_pk_bits``."""
+    k steps that rewrite P_(j-1), 300 units a term, and past j = m the
+    kernel, m Miller steps on binomials of up to m bits, and its product,
+    (m+2) terms by P_(j-m-1), below j - m terms of ``_pk_bits``."""
     lag = max(k - m, 0)
     term = 100 + _pk_bits(m, k) * (m + 30) / 800
-    return m * (1000 + m / 3) + 150 * k * k + (m + 2) * lag * lag / 2 * term
+    kernel = m * (1000 + m / 3) if lag else 0
+    return kernel + 150 * k * k + (m + 2) * lag * lag / 2 * term
 
 
 def _pk_bits(m: int, k: int) -> int:
@@ -151,8 +166,10 @@ def column_gf(k: int, m: int, sign: str, order: int) -> ColumnGF:
 
     "+" gives P_k(x) / (1-x)^(k+1); "-" gives
     (-1)^k x (1-x)^-(k+1) * rev(P_k) where rev(P_k) = x^k P_k(1/x) is the
-    coefficient reversal (an honest polynomial).  Disagreement with directly
-    computed coefficients raises ``MismatchError``.
+    coefficient reversal (an honest polynomial).  The numerator's
+    coefficients, zero-padded to ``order``, are divided by (1 - x) k + 1
+    times, each time by one pass of running sums.  Disagreement with
+    directly computed coefficients raises ``MismatchError``.
     """
     _require_degree(m)
     if k < 0:
@@ -162,30 +179,29 @@ def column_gf(k: int, m: int, sign: str, order: int) -> ColumnGF:
     if order < 0:
         raise ValueError("order must be non-negative")
     pk = pk_by_recurrence(m, k)
-    inv_geom = TruncatedSeries([1, -1], order) ** (-(k + 1))
     if sign == "+":
-        series = inv_geom * pk.to_series(order)
+        numerator = pk.coeffs
         expected = [coeff(n, k, m) for n in range(order + 1)]
     else:
-        rev = pk.reversal(k + 1)
-        series = inv_geom * rev.to_series(order) * TruncatedSeries([0, 1], order)
-        if k & 1:
-            series = -series
+        numerator = (0,) + tuple((-1) ** k * c for c in pk.reversal(k + 1).coeffs)
         expected = [0] + [coeff(-n, k, m) for n in range(1, order + 1)]
+    terms = TruncatedSeries(numerator, order).coeffs
+    for _ in range(k + 1):  # divide by 1 - x
+        terms = accumulate(terms)
+    series = TruncatedSeries(terms)
     _require_agreement(series, expected, "column GF", {"k": k, "m": m, "sign": sign}, "n")
     return ColumnGF(k, m, sign, series)
 
 
 def column_cost(k: int, m: int, order: int) -> float:
     """``column_gf``'s price in work units, either sign: ``pk_cost``, then
-    for each of the order + 1 terms a Miller step of (1-x)^(-(k+1)), whose
-    terms C(n+k, k) bound the series' own, a product with P_k, of up to
-    k + 1 terms of ``_pk_bits``, and a direct coefficient, priced at the
-    farthest row's."""
+    for each of the order + 1 terms k + 1 running sums, whose last terms
+    C(n+k, k) bound the series' own, the comparison with a direct
+    coefficient, priced at the farthest row's, and the printing."""
     bits = value_bits(-(k + 1), m, order)
     check = max(coeff_cost(order, k, m), coeff_cost(-order, k, m))
     return pk_cost(m, k) + (order + 1) * (
-        3000 + bits / 8 + (k + 1) * (100 + bits * _pk_bits(m, k) / 800) + check)
+        3000 + bits / 8 + (k + 1) * (100 + bits / 800) + check)
 
 
 def pk2_closed_form_check(k_max: int) -> bool:
@@ -237,34 +253,40 @@ def f_numbers(m: int, count: int) -> FNumberSeq:
     for n in range(count):
         v = (2 ** n) * ps[n](half)
         if v.denominator != 1:
-            raise MismatchError(f"2^{n} P_{n}(1/2) is not an integer for m={m}")
+            raise MismatchError(f"2^{n} P_{n}(1/2) is not an integer for m={m}",
+                                params={"m": m, "n": n}, computed=v.denominator, expected=1)
         values.append(int(v))
     for n in range(2, count):
         lag = values[n - m - 1] if n - m - 1 >= 0 else 0
         if values[n] != 2 * values[n - 1] - lag:
-            raise MismatchError(f"f-number recurrence fails at n={n} for m={m}")
+            raise MismatchError(f"f-number recurrence fails at n={n} for m={m}",
+                                params={"m": m, "n": n}, computed=values[n],
+                                expected=2 * values[n - 1] - lag)
     return FNumberSeq(m, tuple(values))
 
 
 def carlitz_cost(a: int, b: int, m: int, order: int) -> float:
     """``carlitz_gf``'s price in work units of about a nanosecond.
 
-    The 2m + 1 Horner steps of its two compositions with y, 3000 units plus
-    300 a term each; then, over the order + 1 terms, the multiply-adds of
-    their products and of the power, inverse and product, priced by the
-    bits of the farthest row the diagonal reads, and the solve's and the
-    check's ``coeff`` calls, priced at their farthest.  y = x when b = 0,
-    and p_m(y) then has m + 1 terms.
+    The m - 1 products that give y^2 .. y^m, 3000 units plus 300 a term each
+    with their summation; then, over the order + 1 terms, the multiply-adds
+    of those products that are not 0, of the power when a != 0 and of the
+    division, priced by the bits of the farthest row the diagonal reads, and
+    the solve's and the check's ``coeff`` calls, priced at their farthest.
+    A pass over a full operand takes terms/2 multiply-adds a term, one over
+    a polynomial its terms.  When b = 0, y = x: its powers are shifts, and
+    p_m(y) and the denominator have m + 1 terms.
     """
     terms = order + 1
     far = abs(a) + abs(b) * order
     bits = value_bits(far if a >= 0 and b >= 0 else -far, m, order)
     y_terms = terms if b else 1
-    py_terms = min(terms, m * y_terms + 1)
-    products = ((2 * m + 1) * y_terms + 2 * py_terms + terms) / 2  # multiply-adds a term
+    pass_work = min(terms / 2, m * y_terms + 1)  # of the power or the division
+    powers = min(m, terms) - 1  # y^i vanishes to the order past i = order
+    products = powers * y_terms / 2 + (pass_work if a else 0) + pass_work  # multiply-adds a term
     solve = coeff_cost(b * order, order - 1, m) if order else 0
     check = max(coeff_cost(far, order, m), coeff_cost(-far, order, m))
-    return (2 * m + 1) * (3000 + 300 * terms) + terms * (
+    return (m - 1) * (3000 + 300 * terms) + terms * (
         2000 + products * (100 + bits * bits / 6000) + solve + check)
 
 
@@ -272,19 +294,27 @@ def carlitz_gf(a: int, b: int, m: int, order: int) -> TruncatedSeries:
     """The diagonal generating series sum_k <a + b*k, k>_m x^k.
 
     Built as p_m(y)^(a+1) / (p_m(y) - b y p_m'(y)) with y(x) solving
-    y = x p_m(y)^b; p_m and p_m' enter ``compose`` unpadded, so each
-    substitution takes m + 1 Horner steps.  Every coefficient up to ``order``
-    is verified against direct computation before the series is returned.
+    y = x p_m(y)^b.  The powers y^2 .. y^m are taken once, m - 1 products,
+    and summed as they come into p_m(y) = sum_i y^i and the denominator
+    sum_i (1 - b i) y^i; one power (a copy when a = 0) and one division
+    follow.  Every coefficient up to ``order`` is verified against direct
+    computation before the series is returned.
     """
     _require_degree(m)
     if order < 0:
         raise ValueError("order must be non-negative")
     y = solve_carlitz_y(m, b, order)
-    pm = TruncatedSeries([1] * (m + 1))
-    pm_prime = TruncatedSeries(range(1, m + 1))
-    py = pm.compose(y)
-    denominator = py - (y * pm_prime.compose(y)) * b
-    series = (py ** (a + 1)) * denominator.inverse()
+    y_i = y
+    py = [1, *y.coeffs[1:]]  # p_m(y) = sum_i y^i
+    denominator = [1, *((1 - b) * c for c in y.coeffs[1:])]  # sum_i (1 - b i) y^i
+    for i in range(2, m + 1):
+        y_i = y_i * y
+        weight = 1 - b * i
+        for j, c in enumerate(y_i.coeffs):
+            if c:
+                py[j] += c
+                denominator[j] += weight * c
+    series = TruncatedSeries(py) ** (a + 1) / TruncatedSeries(denominator)
     expected = (coeff(a + b * j, j, m) for j in range(order + 1))
     _require_agreement(series, expected, "diagonal GF", {"a": a, "b": b, "m": m}, "j")
     return series

@@ -6,7 +6,8 @@ and a value is integer-valued exactly when its denominator is 1.
 
 Every integer power, of a series or of a polynomial, goes through ``power``:
 J.C.P. Miller's recurrence, which for (1 + t + ... + t^m)^n is the paper's
-horizontal recurrence T2-ix.
+horizontal recurrence T2-ix.  A quotient of two series is one pass of long
+division, ``TruncatedSeries.__truediv__``, over the divisor's nonzero terms.
 """
 from __future__ import annotations
 
@@ -30,7 +31,8 @@ def power(a: Sequence[Scalar], e: int, length: int) -> list[Scalar]:
     A B' = e A' B, which at t^(k-1) reads
     k a_0 b_k = sum_{i>=1} ((e+1) i - k) a_i b_{k-i}.
     It holds for every integer e, needs nothing but ``a``, and costs
-    O(deg A) operations per coefficient, however far ``a`` is zero-padded.
+    O(deg A) operations per coefficient, however far ``a`` is zero-padded;
+    e = 0 and e = 1 cost nothing but the copy.
     A zero constant term is shifted out when e >= 0 and raises
     ``ZeroConstantTerm`` when e < 0.  Integer input gives integers when
     e >= 0 or a_0 = +-1 (every division is then exact), and ``Fraction``
@@ -38,6 +40,8 @@ def power(a: Sequence[Scalar], e: int, length: int) -> list[Scalar]:
     """
     if e == 0:
         return [1] + [0] * (length - 1)
+    if e == 1:
+        return list(a[:length]) + [0] * (length - len(a))
     shift = next((i for i, c in enumerate(a) if c), None)
     if shift != 0:
         if e < 0:
@@ -145,6 +149,31 @@ class TruncatedSeries:
         return TruncatedSeries(out)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        """The quotient to the smaller order of the two, by long division:
+        q_k = (a_k - sum_{i>=1} d_i q_(k-i)) / d_0, the sum running over the
+        divisor's nonzero terms only, so a polynomial divisor of degree d
+        costs O(order * d) operations.  Integer operands give integers when
+        d_0 = +-1 and ``Fraction`` coefficients otherwise; d_0 = 0 raises
+        ``ZeroConstantTerm``.
+        """
+        a, d = self.coeffs, other.coeffs
+        length = min(len(a), len(d))
+        d0 = d[0]
+        if not d0:
+            raise ZeroConstantTerm("division by a series with zero constant term")
+        exact = d0 in (1, -1) and all(isinstance(c, int) for c in a + d)
+        support = [(i, d[i]) for i in range(1, length) if d[i]]
+        q: list[Scalar] = []
+        for k in range(length):
+            acc = a[k]
+            for i, di in support:
+                if i > k:
+                    break
+                acc -= di * q[k - i]
+            q.append(acc * d0 if exact else Fraction(acc, d0))
+        return TruncatedSeries(q)
 
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse up to the truncation order, ``self ** -1``.

@@ -384,10 +384,10 @@ def _row_end(n, k, m):
                                    == _closed_form_mod(-30000, 128000, 2)),
                      id="just-inside"),
         # the costliest admitted shapes, per work unit, of each genfun kind and
-        # of table found while calibrating their prices: 0.9 to 1.1 s in-process
-        pytest.param(("genfun", "carlitz", "-a", "5", "-b", "1", "-m", "1000", "--terms", "93",
+        # of table found while calibrating their prices: 0.6 to 1.1 s in-process
+        pytest.param(("genfun", "carlitz", "-a", "0", "-b", "1", "-m", "10", "--terms", "645",
                       "--format", "json"),
-                     _series_ends([1, 6] + [None] * 90 + [coeff(97, 92, 1000)]),
+                     _series_ends([1, 1] + [None] * 642 + [coeff(644, 644, 10)]),
                      id="carlitz-just-inside"),
         pytest.param(("genfun", "column-", "-k", "100", "-m", "1", "--terms", "62167",
                       "--format", "json"),
@@ -730,15 +730,15 @@ def _forbid_expanding(monkeypatch):
                      "|n|*m is 105005", id="carlitz-span"),
         pytest.param(("carlitz", "-a", "100001", "-b", "0", "-m", "1", "--terms", "1"),
                      "|n|*m is 100001", id="carlitz-span-a"),
-        pytest.param(("carlitz", "-a", "0", "-b", "1", "-m", "2", "--terms", "700"),
-                     "genfun's work estimate is 12302", id="carlitz-terms"),
+        pytest.param(("carlitz", "-a", "0", "-b", "1", "-m", "2", "--terms", "759"),
+                     "genfun's work estimate is 10012", id="carlitz-terms"),
         pytest.param(("carlitz", "-a", "0", "-b", "0", "-m", "100001", "--terms", "1"),
                      "|n|*m is 100001", id="carlitz-degree"),
         pytest.param(("carlitz", "-a", "0", "-b", "1", "-m", "2", "--terms", "10000000"),
                      "|n|*m is 20000000", id="carlitz-runaway-terms"),
         # admitted by the bounds on (m+1)*terms and |n|*m of 20,000: 0.9-1.6 s
         pytest.param(("carlitz", "-a", "-233", "-b", "-33", "-m", "1", "--terms", "600"),
-                     "genfun's work estimate is 29227", id="carlitz-work"),
+                     "genfun's work estimate is 10215", id="carlitz-work"),
         pytest.param(("column+", "-k", "0", "-m", "1", "--terms", "100001"),
                      "|n|*m is 100001", id="column-terms"),
         pytest.param(("column-", "-k", "2000", "-m", "1", "--terms", "5"),
@@ -750,8 +750,8 @@ def _forbid_expanding(monkeypatch):
                      "|n|*m is 1438800", id="column-span"),
         pytest.param(("pk", "-m", "2", "-k", "1600"),
                      "genfun's work estimate is 10583", id="pk-k"),
-        pytest.param(("pk", "-m", "60000", "-k", "0"),
-                     "genfun's work estimate is 1260000000", id="pk-degree"),
+        pytest.param(("pk", "-m", "100001", "-k", "0"),
+                     "|n|*m is 100001", id="pk-degree"),
     ],
 )
 def test_genfun_guard_rails_refuse_before_expanding(runner, monkeypatch, args, message):
@@ -794,11 +794,11 @@ def _stub_expanding(patch):
         ("column-", "-k", "10", "-m", "3", "--terms", "201"),
         ("pk", "-m", "2", "-k", "399"),
         ("pk", "-m", "1199", "-k", "0"),
-        # refused by the proxy bounds; their in-process times from the CLI
+        # refused by coarser bounds or prices; their in-process times from the CLI
         pytest.param(("carlitz", "-a", "20001", "-b", "0", "-m", "1", "--terms", "1"),
                      id="carlitz-span-a"),  # 2 ms
-        pytest.param(("carlitz", "-a", "0", "-b", "1", "-m", "2", "--terms", "401"),
-                     id="carlitz-terms"),  # 0.10 s
+        pytest.param(("carlitz", "-a", "0", "-b", "1", "-m", "2", "--terms", "700"),
+                     id="carlitz-terms"),  # 0.33 s
         pytest.param(("carlitz", "-a", "0", "-b", "0", "-m", "1200", "--terms", "1"),
                      id="carlitz-degree"),  # 10 ms
         pytest.param(("column+", "-k", "0", "-m", "1", "--terms", "1201"),
@@ -808,7 +808,7 @@ def _stub_expanding(patch):
         pytest.param(("column+", "-k", "0", "-m", "1200", "--terms", "1"),
                      id="column-degree"),  # 4 ms
         pytest.param(("pk", "-m", "2", "-k", "400"), id="pk-k"),  # 0.04 s
-        pytest.param(("pk", "-m", "1200", "-k", "0"), id="pk-degree"),  # 6 ms
+        pytest.param(("pk", "-m", "60000", "-k", "0"), id="pk-degree"),  # 0.5 ms
     ],
 )
 def test_genfun_guard_rails_admit_expansions_at_the_bounds(runner, monkeypatch, args):

@@ -1,4 +1,5 @@
 """Tests for column polynomials, column/diagonal generating functions."""
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from polycoeffs.genfun import (
     pk_by_recurrence,
     pk_gf_check,
 )
-from polycoeffs.series import IntPolynomial
+from polycoeffs.series import IntPolynomial, TruncatedSeries, solve_carlitz_y
 
 
 def test_pk_seeds():
@@ -226,3 +227,114 @@ def test_mismatch_context_defaults_to_none():
     error = MismatchError("plain")
     assert str(error) == "plain"
     assert (error.params, error.computed, error.expected) == (None, None, None)
+
+
+def _carlitz_by_composition(a, b, m, order):
+    # the construction written out: p_m and p_m' composed with y, a power,
+    # an inverse and a product
+    y = solve_carlitz_y(m, b, order)
+    pm = TruncatedSeries([1] * (m + 1))
+    pm_prime = TruncatedSeries(range(1, m + 1))
+    py = pm.compose(y)
+    denominator = py - (y * pm_prime.compose(y)) * b
+    return (py ** (a + 1)) * denominator.inverse()
+
+
+def _column_by_inverse_power(k, m, sign, order):
+    # (1 - x)^-(k+1) by a negative power, times the numerator
+    inv_geom = TruncatedSeries([1, -1], order) ** (-(k + 1))
+    pk = pk_by_recurrence(m, k)
+    if sign == "+":
+        return inv_geom * pk.to_series(order)
+    series = inv_geom * pk.reversal(k + 1).to_series(order) * TruncatedSeries([0, 1], order)
+    return -series if k & 1 else series
+
+
+def _same(got, want):
+    assert got == want
+    assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_carlitz_matches_the_composed_construction(m):
+    for a in (-3, -1, 0, 2):
+        for b in (-2, -1, 0, 1, 3):
+            for order in (0, 1, 9):
+                _same(carlitz_gf(a, b, m, order), _carlitz_by_composition(a, b, m, order))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_column_matches_the_inverse_power(m):
+    for k in range(7):
+        for sign in "+-":
+            for order in (0, 1, 12):
+                _same(column_gf(k, m, sign, order).series,
+                      _column_by_inverse_power(k, m, sign, order))
+
+
+def _count_series_passes(monkeypatch):
+    counts = {"__mul__": 0, "__pow__": 0, "inverse": 0}
+    for name in counts:
+        method = getattr(TruncatedSeries, name)
+
+        def counted(*args, _method=method, _name=name):
+            counts[_name] += 1
+            return _method(*args)
+
+        monkeypatch.setattr(TruncatedSeries, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("b", [-1, 0, 1, 2])
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_carlitz_takes_m_minus_one_products_and_no_inverse(monkeypatch, m, b):
+    counts = _count_series_passes(monkeypatch)
+    carlitz_gf(0, b, m, 20)
+    assert counts == {"__mul__": m - 1, "__pow__": 1, "inverse": 0}
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_column_takes_no_product(monkeypatch, sign):
+    counts = _count_series_passes(monkeypatch)
+    column_gf(6, 3, sign, 20)
+    assert counts == {"__mul__": 0, "__pow__": 0, "inverse": 0}
+
+
+def test_pk_past_the_degree_needs_no_kernel():
+    # P_k = 1 or x for k <= m: no m Miller steps for x(1-x)^m
+    start = time.perf_counter()
+    for k in (0, 1, 5):
+        assert pk_by_recurrence(100_000, k) == IntPolynomial([1] if k == 0 else [0, 1])
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize(
+    "n, skew, message, params, computed, expected",
+    [
+        # 2^3 * (1/2)^4 = 1/2
+        (3, lambda p: IntPolynomial([0, 0, 0, 0, 1]),
+         "2^3 P_3(1/2) is not an integer for m=2", {"m": 2, "n": 3}, 2, 1),
+        # 2^4 (P_4(1/2) + 1) = f_4 + 16
+        (4, lambda p: p + IntPolynomial([1]),
+         "f-number recurrence fails at n=4 for m=2", {"m": 2, "n": 4}, 21, 5),
+    ],
+    ids=["integral", "recurrence"],
+)
+def test_f_number_self_checks_carry_params_and_both_values(
+    monkeypatch, n, skew, message, params, computed, expected
+):
+    from polycoeffs import genfun
+
+    exact = genfun._pk_list
+
+    def skewed(m, kmax):
+        ps = exact(m, kmax)
+        ps[n] = skew(ps[n])
+        return ps
+
+    monkeypatch.setattr(genfun, "_pk_list", skewed)
+    with pytest.raises(MismatchError) as caught:
+        f_numbers(2, 8)
+    assert str(caught.value) == message
+    assert caught.value.params == params
+    assert (caught.value.computed, caught.value.expected) == (computed, expected)

@@ -251,6 +251,60 @@ def test_negative_power_inverts_repeated_multiplication(c0, tail, e, length, fra
         assert all(isinstance(c, int) for c in got)
 
 
+@given(
+    st.lists(st.integers(-9, 9), max_size=8),
+    st.integers(0, 12),
+    st.booleans(),
+)
+def test_first_power_is_the_padded_base(coeffs, length, fractional):
+    if fractional:
+        coeffs = [Fraction(c, 3) for c in coeffs]
+    got = power(coeffs, 1, length)
+    assert got == (coeffs + [0] * length)[:length]
+    assert [type(c) for c in got] == [type(c) for c in (coeffs + [0] * length)[:length]]
+
+
+@given(
+    st.lists(st.integers(-9, 9), min_size=1, max_size=8),
+    st.integers(-3, 3),
+    st.lists(st.integers(-9, 9), max_size=8),
+    st.booleans(),
+    st.booleans(),
+)
+def test_division_inverts_multiplication(a, d0, tail, frac_a, frac_d):
+    # unit, non-unit and zero constant terms of the divisor, to either order
+    d = [d0] + tail
+    if frac_a:
+        a = [Fraction(c, 3) for c in a]
+    if frac_d:
+        d = [Fraction(c, 2) for c in d]
+    sa, sd = TruncatedSeries(a), TruncatedSeries(d)
+    if not d0:
+        with pytest.raises(ZeroConstantTerm):
+            sa / sd
+        return
+    quotient = sa / sd
+    order = min(sa.order, sd.order)
+    assert quotient.order == order
+    assert quotient * sd == TruncatedSeries(sa.coeffs, order)
+    if d0 in (1, -1) and not (frac_a or frac_d):
+        assert all(isinstance(c, int) for c in quotient.coeffs)
+    else:
+        assert all(isinstance(c, Fraction) for c in quotient.coeffs)
+
+
+def test_division_by_a_polynomial_costs_the_order_times_its_degree():
+    # a full divisor would take 2 * 10^8 multiply-adds at this order
+    order = 20_000
+    full = TruncatedSeries(range(1, order + 2))
+    divisor = TruncatedSeries([1, -1], order)
+    start = time.perf_counter()
+    quotient = full / divisor
+    elapsed = time.perf_counter() - start
+    assert quotient == TruncatedSeries([(k + 1) * (k + 2) // 2 for k in range(order + 1)])
+    assert elapsed < 0.5
+
+
 def test_power_negative_needs_nonzero_constant():
     with pytest.raises(ZeroConstantTerm):
         power([0, 1, 1], -2, 4)
