@@ -54,7 +54,6 @@ from .trinomial import (
     pochhammer,
     rainville_32,
     rainville_36,
-    verification_suite,
 )
 
 __all__ = [
@@ -97,5 +96,4 @@ __all__ = [
     "run_identity",
     "run_suite",
     "solve_carlitz_y",
-    "verification_suite",
 ]

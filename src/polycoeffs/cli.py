@@ -26,7 +26,6 @@ from .errors import MismatchError, TooLarge
 from .genfun import carlitz_cost, carlitz_gf, column_cost, column_gf, pk_by_recurrence, pk_cost
 from .identities import PROFILES, build_registry, run_identity
 from .series import IntPolynomial, TruncatedSeries
-from .trinomial import NUMERIC_CHECKS
 
 FORMATS = click.Choice(["plain", "json", "csv"])
 
@@ -396,9 +395,8 @@ def cmd_verify(selector, profile, fmt):
     found.  The suite is spread over the CPUs the process may use; its
     output is that of a serial run.
     """
-    # one task per check, exact or numeric; run_identity is looked up as the
-    # command runs, so a rebinding of it applies
-    registry = {spec.id: spec for spec in [*build_registry(profile), *NUMERIC_CHECKS]}
+    # one task per check; run_identity is read as the command runs, so a rebinding applies
+    registry = {spec.id: spec for spec in build_registry(profile)}
     if selector == "all":
         specs = registry.values()
     elif selector in registry:

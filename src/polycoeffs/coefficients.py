@@ -251,13 +251,15 @@ def _coeff_size(n: int, k: int, m: int) -> tuple[int, float, float]:
 def coeff_cost(n: int, k: int, m: int) -> float:
     """``coeff``'s price in work units of about a nanosecond, from
     ``_coeff_size``'s bound b on the bits of its terms and width w.  At
-    m = 1, b w / 40 for its math.comb.  Else b^2/64 for the starting
-    binomials (CPython divides in quadratic time), and per step b (m+14)/20
-    for the step's product and exact division, and w^1.585/16 for its two
-    math.perm products (CPython multiplies large integers by Karatsuba)."""
+    m = 1, 400 a call, and b w / 40 and b^1.585/2 for its math.comb's
+    division by a w-bit binomial and product of halves (CPython multiplies
+    large integers by Karatsuba).  Else b^2/64 for the starting binomials
+    (CPython divides in quadratic time), and per step b (m+14)/20 for the
+    step's product and exact division, and w^1.585/16 for its two math.perm
+    products."""
     steps, bits, width = _coeff_size(n, k, m)
     if m == 1:
-        return bits * width / 40
+        return 400 + bits * (width / 40 + bits ** 0.585 / 2)
     return bits * (steps * (m + 14) / 20 + bits / 64) + steps * width ** 1.585 / 16
 
 

@@ -275,15 +275,17 @@ def carlitz_cost(a: int, b: int, m: int, order: int) -> float:
     the solve's and the check's ``coeff`` calls, priced at their farthest.
     A pass over a full operand takes terms/2 multiply-adds a term, one over
     a polynomial its terms.  When b = 0, y = x: its powers are shifts, and
-    p_m(y) and the denominator have m + 1 terms.
+    p_m(y) and the denominator have m + 1 terms; when m = b = 1 the
+    denominator 1 + (1 - b) y is 1, and the division copies.
     """
     terms = order + 1
     far = abs(a) + abs(b) * order
     bits = value_bits(far if a >= 0 and b >= 0 else -far, m, order)
     y_terms = terms if b else 1
     pass_work = min(terms / 2, m * y_terms + 1)  # of the power or the division
+    division = 0 if m == b == 1 else pass_work
     powers = min(m, terms) - 1  # y^i vanishes to the order past i = order
-    products = powers * y_terms / 2 + (pass_work if a else 0) + pass_work  # multiply-adds a term
+    products = powers * y_terms / 2 + (pass_work if a else 0) + division  # multiply-adds a term
     solve = coeff_cost(b * order, order - 1, m) if order else 0
     check = max(coeff_cost(far, order, m), coeff_cost(-far, order, m))
     return (m - 1) * (3000 + 300 * terms) + terms * (

@@ -10,8 +10,9 @@ fixed parameters, the swept ones as sequences, and both sides as two
 equal-length sequences.  ``run_identity`` compares the two sides at once and
 decodes points only on a mismatch, so the deep profile's 771,690 points do
 not each cost a params dict, a tuple and a comparison.  ``trinomial``'s
-numeric checks are specs too: their grid is the report's text, and they
-yield one-point blocks with a tolerance, which ``holds`` applies.
+numeric checks are specs too, listed by ``build_registry`` after the exact
+ones: their grid is the report's text, and they yield one-point blocks with
+a tolerance, which ``holds`` applies.
 
 Grid conventions: degree m starts at 1; row indices run over both signs
 where an identity permits them; column indices sweep the natural support
@@ -715,7 +716,10 @@ def _check_binomial_weightings(grid) -> Iterator[Block]:
 
 
 def build_registry(profile: Profile | str = "desk") -> list[IdentitySpec]:
-    """All registry entries with grids scaled to the requested profile."""
+    """Every check in report order: the exact identities, grids scaled to
+    ``profile``, then ``trinomial.NUMERIC_CHECKS``, which no profile scales."""
+    from .trinomial import NUMERIC_CHECKS  # trinomial imports this module
+
     p = PROFILES[profile] if isinstance(profile, str) else profile
     ms = range(1, p.m_max + 1)
     n_all = range(-p.n_max, p.n_max + 1)
@@ -857,6 +861,7 @@ def build_registry(profile: Profile | str = "desk") -> list[IdentitySpec]:
             {"m": ms, "n": n_nonneg, "k": k_note},
             _check_binomial_weightings,
         ),
+        *NUMERIC_CHECKS,
     ]
 
 
@@ -884,5 +889,5 @@ def run_identity(spec: IdentitySpec) -> IdentityReport:
 
 
 def run_suite(profile: Profile | str = "desk") -> list[IdentityReport]:
-    """Run every registry entry; reports come back in registry order."""
+    """The reports of ``build_registry(profile)``, what ``verify all`` prints."""
     return [run_identity(spec) for spec in build_registry(profile)]

@@ -219,10 +219,9 @@ def solve_carlitz_y(m: int, b: int, order: int) -> TruncatedSeries:
     The division is exact because y = x * p_m(y)^b has integer coefficients:
     p_m^b has constant term 1, so solving for y term by term never divides.
     """
-    from .coefficients import coeff  # coefficients imports this module
+    from .coefficients import _require_degree, coeff  # coefficients imports this module
 
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    _require_degree(m)
     if order < 0:
         raise ValueError("order must be non-negative")
     return TruncatedSeries([0] + [coeff(b * k, k - 1, m) // k for k in range(1, order + 1)])

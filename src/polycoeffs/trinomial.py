@@ -17,13 +17,14 @@ from fractions import Fraction
 
 import numpy.polynomial.legendre
 
-from .coefficients import coeff, row
+from .coefficients import _require_degree, coeff, row
 from .errors import DomainError, NegativeN, TooLarge
 from .identities import Block, IdentityReport, IdentitySpec, holds, run_identity
 from .series import TruncatedSeries
 
 _GL_NODES, _GL_WEIGHTS = numpy.polynomial.legendre.leggauss(64)
 _GL_POINTS = list(zip(_GL_NODES.tolist(), _GL_WEIGHTS.tolist()))
+_PANELS = 8  # over [0, pi/2], each with the 64 nodes
 
 
 @dataclass(frozen=True)
@@ -222,15 +223,15 @@ def hgf_series(
     )
 
 
-def _integral_checks(n: int, m: int, ks, tolerance: float, panels: int):
+def _integral_checks(n: int, m: int, ks, tolerance: float):
     """``integral_coeff`` for each k in ``ks``, sharing one set of samples.
 
     The nodes t and the kernel (sin((m+1)t) / sin t)^n depend on (n, m)
     only, so they are computed once; each k then costs one cosine per node.
     """
-    width = (math.pi / 2.0) / panels
+    width = (math.pi / 2.0) / _PANELS
     samples = []
-    for p in range(panels):
+    for p in range(_PANELS):
         left = p * width
         for node, weight in _GL_POINTS:
             t = left + (node + 1.0) * width / 2.0
@@ -251,20 +252,17 @@ def _integral_checks(n: int, m: int, ks, tolerance: float, panels: int):
         )
 
 
-def integral_coeff(
-    n: int, k: int, m: int, tolerance: float = 1e-8, panels: int = 8
-) -> NumericCheck:
+def integral_coeff(n: int, k: int, m: int, tolerance: float = 1e-8) -> NumericCheck:
     """Quadrature of the cosine-kernel integral representation of <n,k>_m.
 
-    Composite Gauss-Legendre, 64 nodes per panel over [0, pi/2]; the
+    Composite Gauss-Legendre, 64 nodes on each of 8 panels over [0, pi/2]; the
     integrand's removable singularity at t = 0 is patched with its limit
     (m+1)^n.  Only n >= 0 keeps the integrand bounded.
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    _require_degree(m)
     if n < 0:
         raise NegativeN("the integral representation needs n >= 0")
-    return next(_integral_checks(n, m, (k,), tolerance, panels))
+    return next(_integral_checks(n, m, (k,), tolerance))
 
 
 def numeric_binomial_check(
@@ -276,8 +274,7 @@ def numeric_binomial_check(
     (x^0 y^m + ... + x^m y^0)^n; convergence needs |p_m(x/y) - 1| < 1,
     otherwise ``DomainError`` is raised.
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    _require_degree(m)
     if n >= 0:
         raise ValueError("this check covers negative n only")
     if terms < 1:
@@ -348,7 +345,7 @@ def _hgf_points():
 def _integral_points():
     for m in range(1, 5):
         for n in range(0, 7):
-            checks = _integral_checks(n, m, range(m * n + 1), 1e-8, 8)
+            checks = _integral_checks(n, m, range(m * n + 1), 1e-8)
             for k, check in enumerate(checks):
                 yield _point({"n": n, "k": k, "m": m}, check)
 
@@ -391,8 +388,6 @@ NUMERIC_CHECKS = (
                  "sampled (n,m,x,y), tol=1e-10",
                  lambda grid: _binomial_numeric_points()),
 )
-_BY_ID = {spec.id: spec for spec in NUMERIC_CHECKS}
-NUMERIC_CHECK_IDS = tuple(_BY_ID)
 
 
 def _report(spec: IdentitySpec) -> IdentityReport:
@@ -402,7 +397,7 @@ def _report(spec: IdentitySpec) -> IdentityReport:
 
 
 def verification_suite(only: str | None = None) -> list[IdentityReport]:
-    """Reports for the numeric and trinomial checks, in table order; an
-    unknown ``only`` raises ``KeyError``."""
-    specs = NUMERIC_CHECKS if only is None else (_BY_ID[only],)
+    """Reports for the numeric checks alone, a slice of ``run_suite`` that
+    perfbench's tracer names; an unknown ``only`` raises ``KeyError``."""
+    specs = NUMERIC_CHECKS if only is None else ({s.id: s for s in NUMERIC_CHECKS}[only],)
     return [_report(spec) for spec in specs]

@@ -137,12 +137,12 @@ def test_criterion_3_identity_suite_desk():
     reports = run_suite("desk")
     elapsed = time.perf_counter() - start
     failing = [r.id for r in reports if not r.passed]
-    ok = len(reports) == 19 and not failing and elapsed < 120.0
+    ok = len(reports) == 26 and not failing and elapsed < 120.0
     grid = {"m": range(1, 4), "n": range(0, 5)}
     for checker in (_mutated_symmetry, _mutated_diagonal):
         mutant = run_identity(IdentitySpec("mutant", "-", "-", grid, checker))
         ok = ok and _caught(mutant)
-    _criterion(3, "all 19 identities pass on the desk profile, mutations are caught",
+    _criterion(3, "all 26 checks pass on the desk profile, mutations are caught",
                ok, f"failing={failing or 'none'}, {elapsed:.2f}s")
 
 

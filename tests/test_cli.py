@@ -29,6 +29,7 @@ from polycoeffs.coefficients import (
     value_bits,
 )
 from polycoeffs.genfun import carlitz_cost, column_cost, pk_cost
+from polycoeffs.identities import PROFILES, build_registry, run_suite
 
 try:
     import resource
@@ -139,9 +140,13 @@ def _forbid_computing(monkeypatch):
                      "coeff's work estimate is 10045", id="coeff-work-sum-just-past"),
         # one math.comb of about 490,000 bits, divided by a 100,000-bit one
         pytest.param(("coeff", "-n", "-100000", "-k", "1000000", "-m", "1"),
-                     "coeff's work estimate is 15983", id="coeff-work-binomial"),
+                     "coeff's work estimate is 21096", id="coeff-work-binomial"),
         pytest.param(("coeff", "-n", "-1000", "-k", "1" + "0" * 400, "-m", "2"),
                      "coeff's work estimate is 30407", id="coeff-work-past-floats"),
+        # 0.47 s in-process, just past the bound once math.comb's halves are
+        # priced as Karatsuba products
+        pytest.param(("coeff", "-n", "-100000", "-k", "200000", "-m", "1"),
+                     "coeff's work estimate is 10293", id="coeff-work-binomial-just-past"),
         # both signs: 1000 rows costing at most row -1000's, 1001 at most row 1000's
         pytest.param(("table", "-m", "5", "--rows", "-1000..1000", "--kmax", "400"),
                      "table's work estimate is 3395881332", id="table-work"),
@@ -190,14 +195,12 @@ def test_guard_rails_refuse_before_computing(runner, monkeypatch, args, message)
                      id="coeff-work-positive"),
         pytest.param(("coeff", "-n", "-2", "-k", "1" + "0" * 400, "-m", "2"),
                      id="coeff-k-past-floats"),
-        # refused by the bounds that priced cells and math.comb by proxies:
-        # 0.05 s and 0.8 s in-process, and 0.63 s for the binomial
+        # refused by the bounds that priced cells by proxies: 0.05 s and 0.8 s
+        # in-process
         pytest.param(("table", "-m", "1", "--rows", "-1..-1", "--kmax", "100000"),
                      id="table-prefix-negative-row"),
         pytest.param(("table", "-m", "1", "--rows", "-10..0", "--kmax", "90909"),
                      id="table-cells"),
-        pytest.param(("coeff", "-n", "-100000", "-k", "200000", "-m", "1"),
-                     id="coeff-work-binomial"),
     ],
 )
 def test_guard_rails_admit_queries_at_the_bounds(runner, monkeypatch, args):
@@ -389,10 +392,15 @@ def _row_end(n, k, m):
                       "--format", "json"),
                      _series_ends([1, 1] + [None] * 642 + [coeff(644, 644, 10)]),
                      id="carlitz-just-inside"),
-        pytest.param(("genfun", "column-", "-k", "100", "-m", "1", "--terms", "62167",
+        pytest.param(("genfun", "column-", "-k", "100", "-m", "1", "--terms", "24051",
                       "--format", "json"),
-                     _series_ends([0, 1] + [None] * 62164 + [coeff(-62166, 100, 1)]),
-                     id="column-just-inside"),
+                     _series_ends([0, 1] + [None] * 24048 + [coeff(-24050, 100, 1)]),
+                     id="column-binomial-just-inside"),
+        # the denominator is 1 at m = b = 1, so the division is a copy
+        pytest.param(("genfun", "carlitz", "-a", "5", "-b", "1", "-m", "1", "--terms", "1519",
+                      "--format", "json"),
+                     _series_ends([1, 6] + [None] * 1516 + [coeff(1523, 1518, 1)]),
+                     id="carlitz-copy-just-inside"),
         pytest.param(("genfun", "pk", "-m", "10", "-k", "998", "--format", "json"),
                      _column_from_pk(1000, 998, 10), id="pk-just-inside"),
         pytest.param(("table", "-m", "1", "--rows", "-100..-100", "--kmax", "213628"),
@@ -592,15 +600,16 @@ def test_verify_all_output_is_pinned(runner, monkeypatch, profile, fmt):
 
 def test_verify_all_deep_json_passes_the_benchmark_check(runner):
     # the same check as perfbench/run.py's check_verify on its verify-deep run
-    from polycoeffs.trinomial import NUMERIC_CHECK_IDS
+    from polycoeffs.trinomial import NUMERIC_CHECKS
 
+    numeric_ids = {spec.id for spec in NUMERIC_CHECKS}
     result = invoke(runner, "verify", "all", "--profile", "deep", "--format", "json")
     assert result.exit_code == 0
     payload = json.loads(result.stdout)
     assert len(payload) == 26
     assert [e["id"] for e in payload if e["failures"]] == []
-    exact = sum(e["checked"] for e in payload if e["id"] not in NUMERIC_CHECK_IDS)
-    numeric = sum(e["checked"] for e in payload if e["id"] in NUMERIC_CHECK_IDS)
+    exact = sum(e["checked"] for e in payload if e["id"] not in numeric_ids)
+    numeric = sum(e["checked"] for e in payload if e["id"] in numeric_ids)
     assert (exact, numeric) == (771_690, 418)
     digest = hashlib.sha256(result.stdout.encode()).hexdigest()
     assert digest == VERIFY_DIGESTS["deep", "json"]
@@ -615,6 +624,21 @@ def test_verify_unknown_selector(runner):
         "T2-vi, T2-vii, T2-viii, T2-ix, ID1, ID2, ID3, ID4, ID5, ID6, ID7, ID8, ID9, "
         "ID10, ID11, ID12, ID13, ID14, ID15, INTEGRAL, T2-vi-numeric, all)"
     )
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+def test_verify_knows_the_registry_and_nothing_else(runner, profile):
+    result = invoke(runner, "verify", "NOPE", "--profile", profile)
+    assert result.exit_code == 2
+    known = result.stderr.splitlines()[-1].split("(known: ", 1)[1].rstrip(")")
+    assert known.split(", ") == [spec.id for spec in build_registry(profile)] + ["all"]
+
+
+@pytest.mark.parametrize("profile", ["quick", "desk"])
+def test_run_suite_returns_what_verify_all_prints(runner, profile):
+    result = invoke(runner, "verify", "all", "--profile", profile, "--format", "json")
+    assert result.exit_code == 0
+    assert json.loads(result.stdout) == [r.to_dict() for r in run_suite(profile)]
 
 
 def test_verify_failure_exits_one(runner, monkeypatch):
@@ -650,7 +674,6 @@ def test_verify_raising_checker_fails_without_aborting(runner, monkeypatch):
         "T2-v", "holds", "-", {}, lambda grid: iter([Block({}, (), [1], [1])])
     )
     monkeypatch.setattr(cli_module, "build_registry", lambda profile: [raising, passing])
-    monkeypatch.setattr(cli_module, "NUMERIC_CHECKS", ())
     result = invoke(runner, "verify", "all")
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
@@ -738,11 +761,14 @@ def _forbid_expanding(monkeypatch):
                      "|n|*m is 20000000", id="carlitz-runaway-terms"),
         # admitted by the bounds on (m+1)*terms and |n|*m of 20,000: 0.9-1.6 s
         pytest.param(("carlitz", "-a", "-233", "-b", "-33", "-m", "1", "--terms", "600"),
-                     "genfun's work estimate is 10215", id="carlitz-work"),
+                     "genfun's work estimate is 13165", id="carlitz-work"),
         pytest.param(("column+", "-k", "0", "-m", "1", "--terms", "100001"),
                      "|n|*m is 100001", id="column-terms"),
         pytest.param(("column-", "-k", "2000", "-m", "1", "--terms", "5"),
                      "genfun's work estimate is 12006", id="column-k"),
+        # 0.61 s in-process, 62,167 checking coeff calls at 34,700 units each
+        pytest.param(("column-", "-k", "100", "-m", "1", "--terms", "62167"),
+                     "genfun's work estimate is 29866", id="column-just-inside"),
         pytest.param(("column+", "-k", "0", "-m", "100001", "--terms", "1"),
                      "|n|*m is 100001", id="column-degree"),
         # admitted by the bound on (m+1)*(k+1): 8 ms
