@@ -22,10 +22,10 @@ import click
 
 from . import __version__
 from .coefficients import coeff, coeff_cost, row, row_cost, row_length, value_bits
-from .errors import MismatchError, TooLarge
+from .errors import MismatchError
 from .genfun import carlitz_cost, carlitz_gf, column_cost, column_gf, pk_by_recurrence, pk_cost
 from .identities import PROFILES, build_registry, run_identity
-from .series import IntPolynomial, TruncatedSeries
+from .series import IntPolynomial
 
 FORMATS = click.Choice(["plain", "json", "csv"])
 
@@ -40,14 +40,18 @@ MAX_WORK = 10 ** 9  # about a second
 
 
 def _check_bounds(command: str, span: int, price) -> None:
-    """Raise ``TooLarge`` when ``span`` is past ``MAX_ROW_SPAN``, then when
-    ``price()``, rounded up, is past ``MAX_WORK``; ``price`` is called only
-    once the span is within its bound."""
+    """Refuse the query, ``error: <message>`` on stderr and exit code 2, when
+    ``span`` is past ``MAX_ROW_SPAN``, then when ``price()``, rounded up, is
+    past ``MAX_WORK``; ``price`` is called only once the span is within its
+    bound."""
     if span > MAX_ROW_SPAN:
-        raise TooLarge(f"|n|*m is {span}, over the bound of {MAX_ROW_SPAN}")
-    work = math.ceil(price())
-    if work > MAX_WORK:
-        raise TooLarge(f"{command}'s work estimate is {work}, over the bound of {MAX_WORK}")
+        message = f"|n|*m is {span}, over the bound of {MAX_ROW_SPAN}"
+    elif (work := math.ceil(price())) > MAX_WORK:
+        message = f"{command}'s work estimate is {work}, over the bound of {MAX_WORK}"
+    else:
+        return
+    click.echo(f"error: {message}", err=True)
+    sys.exit(2)
 
 
 def _print_cost(values: int, bits: float) -> int:
@@ -69,20 +73,6 @@ def _table_price(m: int, lo: int, hi: int, kmax: int) -> int:
         padding = _print_cost(kmax + 1 - length, 0)
         price += count * (row_cost(n, m, kmax) + printed + padding)
     return price
-
-
-def _refuse_too_large(command):
-    """Report ``TooLarge`` as ``error: <message>`` on stderr with exit code 2."""
-
-    @functools.wraps(command)
-    def run(*args, **kwargs):
-        try:
-            return command(*args, **kwargs)
-        except TooLarge as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-
-    return run
 
 
 @contextlib.contextmanager
@@ -134,7 +124,6 @@ def cli(ctx):
 @click.option("-m", "m", type=int, required=True, callback=_validate_m,
               help="Degree of 1 + t + ... + t^m, at least 1.")
 @click.option("--format", "fmt", type=FORMATS, default="plain", show_default=True)
-@_refuse_too_large
 def cmd_coeff(n, k, m, fmt):
     """Print one coefficient exactly."""
     _check_bounds("coeff", abs(n) * m, lambda: coeff_cost(n, k, m)
@@ -155,7 +144,6 @@ def cmd_coeff(n, k, m, fmt):
               help="Inclusive row range, e.g. -3..3.")
 @click.option("--kmax", type=int, required=True, help="Last column to emit.")
 @click.option("--format", "fmt", type=FORMATS, default="plain", show_default=True)
-@_refuse_too_large
 def cmd_table(m, rows, kmax, fmt):
     """Emit rows of the coefficient triangle, columns 0..kmax."""
     if kmax < 0:
@@ -220,7 +208,6 @@ def _emit_series(coeffs, fmt, meta):
 @click.option("--terms", type=int, default=10, show_default=True,
               help="Number of series coefficients to print.")
 @click.option("--format", "fmt", type=FORMATS, default="plain", show_default=True)
-@_refuse_too_large
 def cmd_genfun(kind, m, k, a, b, terms, fmt):
     """Expand a generating function (column series, diagonal series, or the
     column polynomial) with exact coefficients."""
@@ -231,30 +218,25 @@ def cmd_genfun(kind, m, k, a, b, terms, fmt):
         raise click.UsageError("carlitz needs both -a and -b")
     if kind != "pk" and terms < 1:
         raise click.BadParameter("terms must be at least 1", param_hint="--terms")
-    if kind == "carlitz":
-        # the diagonal reaches rows a + b*j for j < terms, its solve rows b*j
-        far = abs(a) + abs(b) * (terms - 1)
-        _check_bounds("genfun", max(far, terms) * m,
-                      lambda: carlitz_cost(a, b, m, terms - 1))
-    elif kind == "pk":
+    if kind == "pk":
         _check_bounds("genfun", (k + 1) * m, lambda: pk_cost(m, k))
-    else:
-        # the column series reads rows 0..terms-1, of either sign
-        _check_bounds("genfun", max(terms, k + 1) * m, lambda: column_cost(k, m, terms - 1))
+        poly = pk_by_recurrence(m, k)
+        if fmt == "plain":
+            click.echo(_poly_plain(poly))
+        else:
+            _emit_series(poly.coeffs, fmt, {"kind": "pk", "m": m, "k": k})
+        return
     try:
-        if kind == "pk":
-            poly = pk_by_recurrence(m, k)
-            if fmt == "plain":
-                click.echo(_poly_plain(poly))
-            else:
-                _emit_series(poly.coeffs, fmt, {"kind": "pk", "m": m, "k": k})
-            return
         if kind == "carlitz":
-            series: TruncatedSeries = carlitz_gf(a, b, m, terms - 1)
+            # the diagonal reaches rows a + b*j for j < terms, its solve rows b*j
+            far = abs(a) + abs(b) * (terms - 1)
+            _check_bounds("genfun", max(far, terms) * m, lambda: carlitz_cost(a, b, m, terms - 1))
+            series = carlitz_gf(a, b, m, terms - 1)
             meta = {"kind": "carlitz", "a": a, "b": b, "m": m}
         else:
-            sign = "+" if kind.endswith("+") else "-"
-            series = column_gf(k, m, sign, terms - 1).series
+            # the column series reads rows 0..terms-1, of either sign
+            _check_bounds("genfun", max(terms, k + 1) * m, lambda: column_cost(k, m, terms - 1))
+            series = column_gf(k, m, kind[-1], terms - 1).series
             meta = {"kind": kind, "k": k, "m": m}
     except MismatchError as exc:
         click.echo(_mismatch_text(exc, fmt), err=True)

@@ -253,14 +253,15 @@ def coeff_cost(n: int, k: int, m: int) -> float:
     ``_coeff_size``'s bound b on the bits of its terms and width w.  At
     m = 1, 400 a call, and b w / 40 and b^1.585/2 for its math.comb's
     division by a w-bit binomial and product of halves (CPython multiplies
-    large integers by Karatsuba).  Else b^2/64 for the starting binomials
-    (CPython divides in quadratic time), and per step b (m+14)/20 for the
-    step's product and exact division, and w^1.585/16 for its two math.perm
-    products."""
+    large integers by Karatsuba).  Else 2500 a call, b^2/64 for the starting
+    binomials (CPython divides in quadratic time), and per step 400 for its
+    bytecode, b (m+14)/20 for its product and exact division, and
+    w^1.585/16 for its two math.perm products."""
     steps, bits, width = _coeff_size(n, k, m)
     if m == 1:
         return 400 + bits * (width / 40 + bits ** 0.585 / 2)
-    return bits * (steps * (m + 14) / 20 + bits / 64) + steps * width ** 1.585 / 16
+    return (2500 + bits * bits / 64
+            + steps * (400 + bits * (m + 14) / 20 + width ** 1.585 / 16))
 
 
 def coeff(n: int, k: int, m: int) -> int:

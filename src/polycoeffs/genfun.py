@@ -272,7 +272,10 @@ def carlitz_cost(a: int, b: int, m: int, order: int) -> float:
     with their summation; then, over the order + 1 terms, the multiply-adds
     of those products that are not 0, of the power when a != 0 and of the
     division, priced by the bits of the farthest row the diagonal reads, and
-    the solve's and the check's ``coeff`` calls, priced at their farthest.
+    the solve's and the check's ``coeff`` calls, each priced at its dearest.
+    The check reads <a + b j, j>, priced at its last read when a >= 0 and
+    b > 0, at row a's middle or column ``order``, whichever comes first,
+    when a >= 0 and b = 0, and else at the farthest row of either sign.
     A pass over a full operand takes terms/2 multiply-adds a term, one over
     a polynomial its terms.  When b = 0, y = x: its powers are shifts, and
     p_m(y) and the denominator have m + 1 terms; when m = b = 1 the
@@ -287,7 +290,12 @@ def carlitz_cost(a: int, b: int, m: int, order: int) -> float:
     powers = min(m, terms) - 1  # y^i vanishes to the order past i = order
     products = powers * y_terms / 2 + (pass_work if a else 0) + division  # multiply-adds a term
     solve = coeff_cost(b * order, order - 1, m) if order else 0
-    check = max(coeff_cost(far, order, m), coeff_cost(-far, order, m))
+    if a >= 0 and b > 0:  # both j and m(a + b j) - j grow with j
+        check = coeff_cost(far, order, m)
+    elif a >= 0 and b == 0:  # row a, read up to its middle
+        check = coeff_cost(a, min(order, m * a // 2), m)
+    else:
+        check = max(coeff_cost(far, order, m), coeff_cost(-far, order, m))
     return (m - 1) * (3000 + 300 * terms) + terms * (
         2000 + products * (100 + bits * bits / 6000) + solve + check)
 

@@ -24,7 +24,6 @@ from .series import TruncatedSeries
 
 _GL_NODES, _GL_WEIGHTS = numpy.polynomial.legendre.leggauss(64)
 _GL_POINTS = list(zip(_GL_NODES.tolist(), _GL_WEIGHTS.tolist()))
-_PANELS = 8  # over [0, pi/2], each with the 64 nodes
 
 
 @dataclass(frozen=True)
@@ -229,24 +228,20 @@ def _integral_checks(n: int, m: int, ks, tolerance: float):
     The nodes t and the kernel (sin((m+1)t) / sin t)^n depend on (n, m)
     only, so they are computed once; each k then costs one cosine per node.
     """
-    width = (math.pi / 2.0) / _PANELS
     samples = []
-    for p in range(_PANELS):
-        left = p * width
-        for node, weight in _GL_POINTS:
-            t = left + (node + 1.0) * width / 2.0
-            s = math.sin(t)
-            ratio = float(m + 1) if abs(s) < 1e-15 else math.sin((m + 1) * t) / s
-            samples.append((t, weight, ratio ** n))
+    for node, weight in _GL_POINTS:
+        t = (node + 1.0) * math.pi / 4.0  # [-1, 1] onto [0, pi/2]
+        s = math.sin(t)
+        ratio = float(m + 1) if abs(s) < 1e-15 else math.sin((m + 1) * t) / s
+        samples.append((t, weight, ratio ** n))
     for k in ks:
         frequency = n * m - 2 * k
         total = 0.0
         for t, weight, ratio_n in samples:
             total += weight * (ratio_n * math.cos(frequency * t))
-        value = (2.0 / math.pi) * total * width / 2.0
         yield NumericCheck(
             f"integral representation n={n} k={k} m={m}",
-            value,
+            total / 2.0,  # 2/pi times the quadrature, whose weights scale by pi/4
             float(coeff(n, k, m)),
             tolerance,
         )
@@ -255,9 +250,9 @@ def _integral_checks(n: int, m: int, ks, tolerance: float):
 def integral_coeff(n: int, k: int, m: int, tolerance: float = 1e-8) -> NumericCheck:
     """Quadrature of the cosine-kernel integral representation of <n,k>_m.
 
-    Composite Gauss-Legendre, 64 nodes on each of 8 panels over [0, pi/2]; the
-    integrand's removable singularity at t = 0 is patched with its limit
-    (m+1)^n.  Only n >= 0 keeps the integrand bounded.
+    Gauss-Legendre with 64 nodes over [0, pi/2]; the integrand's removable
+    singularity at t = 0 is patched with its limit (m+1)^n.  Only n >= 0
+    keeps the integrand bounded.
     """
     _require_degree(m)
     if n < 0:
@@ -381,7 +376,7 @@ NUMERIC_CHECKS = (
                  "a Gegenbauer generating function in hypergeometric form",
                  "n=1..3, t in {+-0.25, +-0.5}, tol=1e-10", lambda grid: _hgf_points()),
     IdentitySpec("INTEGRAL", "cosine-kernel integral representation of <n,k>_m",
-                 "composite Gauss-Legendre quadrature",
+                 "64-node Gauss-Legendre quadrature",
                  "n=0..6, m=1..4, k=0..mn, tol=1e-8", lambda grid: _integral_points()),
     IdentitySpec("T2-vi-numeric", "two-variable expansion of a negative row",
                  "extends the binomial theorem (T2-vi)",

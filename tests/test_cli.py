@@ -132,12 +132,16 @@ def _forbid_computing(monkeypatch):
         # inside the span bound, but the finite sum takes 1.3 to 1.8 s; the
         # prices come from lgamma, so only their leading digits are pinned
         pytest.param(("coeff", "-n", "-50000", "-k", "99999", "-m", "2"),
-                     "coeff's work estimate is 20661", id="coeff-work-sum-negative"),
+                     "coeff's work estimate is 20728", id="coeff-work-sum-negative"),
         pytest.param(("coeff", "-n", "50000", "-k", "50000", "-m", "2"),
-                     "coeff's work estimate is 23164", id="coeff-work-sum-positive"),
+                     "coeff's work estimate is 23231", id="coeff-work-sum-positive"),
         # 0.82 s in-process, just past the bound with its printing priced
         pytest.param(("coeff", "-n", "-30000", "-k", "130000", "-m", "2"),
-                     "coeff's work estimate is 10045", id="coeff-work-sum-just-past"),
+                     "coeff's work estimate is 10085", id="coeff-work-sum-just-past"),
+        # 0.68 s in-process, past the bound once its 9,999 steps are priced 400
+        # units each
+        pytest.param(("coeff", "-n", "-30000", "-k", "128000", "-m", "2"),
+                     "coeff's work estimate is 10027", id="just-inside"),
         # one math.comb of about 490,000 bits, divided by a 100,000-bit one
         pytest.param(("coeff", "-n", "-100000", "-k", "1000000", "-m", "1"),
                      "coeff's work estimate is 21096", id="coeff-work-binomial"),
@@ -382,24 +386,25 @@ def _row_end(n, k, m):
                      id="binomial"),
         pytest.param(*_coeff_value(-1, 10 ** 9, 2, lambda value: value == chi(2, 10 ** 9)),
                      id="one-term"),
-        # just inside coeff's work bound
-        pytest.param(*_coeff_value(-30000, 128000, 2, lambda value: value % (2 ** 61 - 1)
-                                   == _closed_form_mod(-30000, 128000, 2)),
+        # just inside coeff's work bound: 0.69 s in-process
+        pytest.param(*_coeff_value(-30000, 127043, 2, lambda value: value % (2 ** 61 - 1)
+                                   == _closed_form_mod(-30000, 127043, 2)),
                      id="just-inside"),
         # the costliest admitted shapes, per work unit, of each genfun kind and
         # of table found while calibrating their prices: 0.6 to 1.1 s in-process
-        pytest.param(("genfun", "carlitz", "-a", "0", "-b", "1", "-m", "10", "--terms", "645",
+        pytest.param(("genfun", "carlitz", "-a", "0", "-b", "1", "-m", "10", "--terms", "639",
                       "--format", "json"),
-                     _series_ends([1, 1] + [None] * 642 + [coeff(644, 644, 10)]),
+                     _series_ends([1, 1] + [None] * 636 + [coeff(638, 638, 10)]),
                      id="carlitz-just-inside"),
         pytest.param(("genfun", "column-", "-k", "100", "-m", "1", "--terms", "24051",
                       "--format", "json"),
                      _series_ends([0, 1] + [None] * 24048 + [coeff(-24050, 100, 1)]),
                      id="column-binomial-just-inside"),
-        # the denominator is 1 at m = b = 1, so the division is a copy
-        pytest.param(("genfun", "carlitz", "-a", "5", "-b", "1", "-m", "1", "--terms", "1519",
+        # the denominator is 1 at m = b = 1, so the division is a copy: 0.24 to
+        # 0.39 s in-process
+        pytest.param(("genfun", "carlitz", "-a", "5", "-b", "1", "-m", "1", "--terms", "1777",
                       "--format", "json"),
-                     _series_ends([1, 6] + [None] * 1516 + [coeff(1523, 1518, 1)]),
+                     _series_ends([1, 6] + [None] * 1774 + [coeff(1781, 1776, 1)]),
                      id="carlitz-copy-just-inside"),
         pytest.param(("genfun", "pk", "-m", "10", "-k", "998", "--format", "json"),
                      _column_from_pk(1000, 998, 10), id="pk-just-inside"),
@@ -754,11 +759,15 @@ def _forbid_expanding(monkeypatch):
         pytest.param(("carlitz", "-a", "100001", "-b", "0", "-m", "1", "--terms", "1"),
                      "|n|*m is 100001", id="carlitz-span-a"),
         pytest.param(("carlitz", "-a", "0", "-b", "1", "-m", "2", "--terms", "759"),
-                     "genfun's work estimate is 10012", id="carlitz-terms"),
+                     "genfun's work estimate is 11580", id="carlitz-terms"),
         pytest.param(("carlitz", "-a", "0", "-b", "0", "-m", "100001", "--terms", "1"),
                      "|n|*m is 100001", id="carlitz-degree"),
         pytest.param(("carlitz", "-a", "0", "-b", "1", "-m", "2", "--terms", "10000000"),
                      "|n|*m is 20000000", id="carlitz-runaway-terms"),
+        # 0.62 s in-process, past the bound since coeff is priced 2500 a call
+        # and 400 a step at m >= 2
+        pytest.param(("carlitz", "-a", "0", "-b", "1", "-m", "10", "--terms", "645"),
+                     "genfun's work estimate is 10303", id="carlitz-just-inside"),
         # admitted by the bounds on (m+1)*terms and |n|*m of 20,000: 0.9-1.6 s
         pytest.param(("carlitz", "-a", "-233", "-b", "-33", "-m", "1", "--terms", "600"),
                      "genfun's work estimate is 13165", id="carlitz-work"),

@@ -3,10 +3,13 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from polycoeffs.coefficients import coeff, coeff_by_closed_form
+from polycoeffs.coefficients import coeff, coeff_by_closed_form, coeff_cost
 from polycoeffs.errors import MismatchError
 from polycoeffs.genfun import (
+    carlitz_cost,
     carlitz_gf,
     column_gf,
     euler_gf_check,
@@ -169,6 +172,19 @@ def test_carlitz_high_order(a, b, m):
     assert series.order == 120
     if (a, b, m) == (0, 1, 2):
         assert series.coeffs == tuple(coeff_by_closed_form(k, k, 2) for k in range(121))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(-30, 30), st.integers(-3000, 3000)), st.integers(-4, 4),
+       st.sampled_from([1, 2, 3, 5, 10, 100]),
+       st.one_of(st.integers(0, 150), st.integers(0, 3000)))
+@example(1000, 0, 2, 2999)  # the dearest read is mid-row, <1000, 1000>
+@example(-300, 0, 1, 1000)  # row -300, read past column 300
+def test_carlitz_cost_covers_every_check_read(a, b, m, order):
+    # the check reads <a + b j, j> for j = 0..order, and each is priced
+    # within the order + 1 check terms
+    dearest = max(coeff_cost(a + b * j, j, m) for j in range(order + 1))
+    assert carlitz_cost(a, b, m, order) >= (order + 1) * dearest
 
 
 def test_euler_generating_function():
