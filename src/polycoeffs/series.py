@@ -1,17 +1,23 @@
 """Exact truncated power series and dense integer polynomials.
 
 Coefficients are arbitrary-precision: plain ``int`` wherever the arithmetic
-stays integral, ``fractions.Fraction`` otherwise.  Both interoperate freely,
-and a value is integer-valued exactly when its denominator is 1.
-
-Every integer power, of a series or of a polynomial, goes through ``power``:
+stays integral, ``fractions.Fraction`` otherwise, and a value is
+integer-valued exactly when its denominator is 1.  Both types multiply by
+one kernel, ``_convolve``, and take every integer power by ``power``:
 J.C.P. Miller's recurrence, which for (1 + t + ... + t^m)^n is the paper's
-horizontal recurrence T2-ix.  A quotient of two series is one pass of long
-division, ``TruncatedSeries.__truediv__``, over the divisor's nonzero terms.
+horizontal recurrence T2-ix.  A series product keeps the smaller order of
+its factors, a polynomial product the full degree, and a quotient of two
+series is one pass of long division.  Operators take their own type or an
+exact scalar (``int`` or ``Fraction`` for a series, ``int`` for a
+polynomial), so mixing the two types raises ``TypeError``.  Coefficients are
+read from ``.coeffs``; ``TruncatedSeries(p.coeffs, order)`` embeds a polynomial.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
+from itertools import starmap, zip_longest
+from operator import add, sub
 from typing import Iterable, Sequence, Union
 
 from .errors import NonzeroInnerConstant, ZeroConstantTerm
@@ -19,9 +25,22 @@ from .errors import NonzeroInnerConstant, ZeroConstantTerm
 Scalar = Union[int, Fraction]
 
 
-def _last_nonzero(a: Sequence[Scalar]) -> int:
-    """The index of the last nonzero entry of ``a``, or -1 if there is none."""
-    return next((i for i in range(len(a) - 1, -1, -1) if a[i]), -1)
+def _convolve(a: Sequence[Scalar], b: Sequence[Scalar], length: int) -> list[Scalar]:
+    """The first ``length`` coefficients of (sum a_i t^i) (sum b_j t^j), in
+    scatter form: each nonzero a_i adds a_i b_j into slot i + j for each
+    nonzero b_j with i + j < length.  Zero terms and zero padding cost
+    nothing, so a factor with d nonzero terms costs O(length * d), not
+    O(length^2)."""
+    out: list[Scalar] = [0] * length
+    terms = [(j, bj) for j, bj in enumerate(b[:length]) if bj]
+    for i, ai in enumerate(a[:length]):
+        if ai:
+            stop = length - i
+            for j, bj in terms:
+                if j >= stop:
+                    break
+                out[i + j] += ai * bj
+    return out
 
 
 def power(a: Sequence[Scalar], e: int, length: int) -> list[Scalar]:
@@ -39,7 +58,7 @@ def power(a: Sequence[Scalar], e: int, length: int) -> list[Scalar]:
     coefficients otherwise.
     """
     if e == 0:
-        return [1] + [0] * (length - 1)
+        return [int(k == 0) for k in range(length)]
     if e == 1:
         return list(a[:length]) + [0] * (length - len(a))
     shift = next((i for i, c in enumerate(a) if c), None)
@@ -50,10 +69,14 @@ def power(a: Sequence[Scalar], e: int, length: int) -> list[Scalar]:
         if shift is not None and shift * e < length:
             out[shift * e:] = power(a[shift:], e, length - shift * e)
         return out
+    if length < 1:
+        return []
     a0 = a[0]
     exact = (e >= 0 or a0 in (1, -1)) and all(isinstance(c, int) for c in a)
     b: list[Scalar] = [a0 ** abs(e) if exact else Fraction(a0) ** e]
-    top = _last_nonzero(a)
+    top = len(a) - 1  # the last nonzero a_i
+    while not a[top]:
+        top -= 1
     for k in range(1, length):
         acc = 0
         for i in range(1, min(k, top) + 1):
@@ -62,7 +85,45 @@ def power(a: Sequence[Scalar], e: int, length: int) -> list[Scalar]:
     return b
 
 
-class TruncatedSeries:
+class _Dense:
+    """The two types' shared part: an immutable tuple ``coeffs``, lowest power
+    first.  Each type's ``_operand`` makes an operand its own type, or None
+    for one it does not take, and ``_pairs`` lines two tuples up by power."""
+
+    coeffs: tuple
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self.coeffs)!r})"
+
+    def __neg__(self):
+        return type(self)([-c for c in self.coeffs])
+
+    def _combine(self, other, op):
+        if (other := self._operand(other)) is None:
+            return NotImplemented
+        return type(self)(starmap(op, self._pairs(self.coeffs, other.coeffs)))
+
+    def __add__(self, other):
+        return self._combine(other, add)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._combine(other, sub)
+
+    def __rsub__(self, other):
+        return (-self)._combine(other, add)
+
+
+class TruncatedSeries(_Dense):
     """A formal power series known exactly up to an inclusive truncation order.
 
     Instances are immutable and all operations are pure, so values can be
@@ -71,6 +132,7 @@ class TruncatedSeries:
     coefficient beyond the truncation order raises ``IndexError``.
     ``TruncatedSeries(coeffs, order)`` embeds a polynomial, zero-padded or
     truncated to ``order``; without ``order`` it keeps every coefficient.
+    A scalar operand is the constant series of the other operand's order.
     """
 
     def __init__(self, coeffs: Iterable[Scalar], order: int | None = None):
@@ -81,9 +143,7 @@ class TruncatedSeries:
             order = len(cs) - 1
         if order < 0:
             raise ValueError("order must be non-negative")
-        if len(cs) < order + 1:
-            cs.extend([0] * (order + 1 - len(cs)))
-        self.coeffs: tuple[Scalar, ...] = tuple(cs[: order + 1])
+        self.coeffs: tuple[Scalar, ...] = tuple(cs[: order + 1]) + (0,) * (order + 1 - len(cs))
 
     @property
     def order(self) -> int:
@@ -92,65 +152,23 @@ class TruncatedSeries:
     def __getitem__(self, k: int) -> Scalar:
         return self.coeffs[k]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
+    def _operand(self, other):
+        if isinstance(other, (int, Fraction)):
+            return TruncatedSeries([other], self.order)
+        return other if isinstance(other, TruncatedSeries) else None
 
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries({list(self.coeffs)!r})"
-
-    def __add__(self, other):
-        if isinstance(other, TruncatedSeries):
-            n = min(self.order, other.order)
-            return TruncatedSeries(
-                [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)]
-            )
-        cs = list(self.coeffs)
-        cs[0] = cs[0] + other
-        return TruncatedSeries(cs)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedSeries([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+    _pairs = staticmethod(zip)  # to the smaller order
 
     def __mul__(self, other):
-        """The product to the smaller order of the two factors.
-
-        The sums stop at each factor's last nonzero term, ``ta`` and ``tb``:
-        t^k sums a_i b_(k-i) over k - tb <= i <= ta only, and every
-        coefficient past ta + tb is 0.  A product with a zero-padded
-        polynomial of degree d so costs O(order * d) operations, not
-        O(order^2).
-        """
-        if not isinstance(other, TruncatedSeries):
-            return TruncatedSeries([c * other for c in self.coeffs])
+        """The product to the smaller order of the two factors."""
+        if (other := self._operand(other)) is None:
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
-        length = min(len(a), len(b))
-        ta, tb = _last_nonzero(a), _last_nonzero(b)
-        top = min(ta + tb, length - 1) if ta >= 0 and tb >= 0 else -1
-        out = []
-        for k in range(top + 1):
-            acc = 0
-            for i in range(max(0, k - tb), min(k, ta) + 1):
-                acc += a[i] * b[k - i]
-            out.append(acc)
-        out.extend([0] * (length - 1 - top))
-        return TruncatedSeries(out)
+        return TruncatedSeries(_convolve(a, b, min(len(a), len(b))))
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+    def __truediv__(self, other):
         """The quotient to the smaller order of the two, by long division:
         q_k = (a_k - sum_{i>=1} d_i q_(k-i)) / d_0, the sum running over the
         divisor's nonzero terms only, so a polynomial divisor of degree d
@@ -158,6 +176,8 @@ class TruncatedSeries:
         d_0 = +-1 and ``Fraction`` coefficients otherwise; d_0 = 0 raises
         ``ZeroConstantTerm``.
         """
+        if (other := self._operand(other)) is None:
+            return NotImplemented
         a, d = self.coeffs, other.coeffs
         length = min(len(a), len(d))
         d0 = d[0]
@@ -176,34 +196,18 @@ class TruncatedSeries:
         return TruncatedSeries(q)
 
     def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse up to the truncation order, ``self ** -1``.
-
-        When the constant term is +-1 every inverse coefficient stays in the
-        same ring as the input (no denominators appear).
-        """
+        """``self ** -1`` to the truncation order; a constant term of +-1
+        keeps every coefficient in the input's ring."""
         return TruncatedSeries(power(self.coeffs, -1, self.order + 1))
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
         return TruncatedSeries(power(self.coeffs, exponent, self.order + 1))
 
-    def derivative(self) -> "TruncatedSeries":
-        """Termwise derivative; the order drops by one."""
-        if self.order == 0:
-            return TruncatedSeries([0])
-        return TruncatedSeries(
-            [i * self.coeffs[i] for i in range(1, self.order + 1)]
-        )
-
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """Substitute ``inner`` (which must vanish at 0) into this series.
-
-        Evaluated by Horner's rule over the series ring, truncated to the
-        inner series' order.
-        """
+        """Substitute ``inner``, which must vanish at 0, into this series by
+        Horner's rule, to the inner series' order."""
         if inner.coeffs[0] != 0:
-            raise NonzeroInnerConstant(
-                "composition needs an inner series with zero constant term"
-            )
+            raise NonzeroInnerConstant("composition needs an inner series with zero constant term")
         result = TruncatedSeries([0], inner.order)
         for c in reversed(self.coeffs):
             result = result * inner + c
@@ -227,12 +231,12 @@ def solve_carlitz_y(m: int, b: int, order: int) -> TruncatedSeries:
     return TruncatedSeries([0] + [coeff(b * k, k - 1, m) // k for k in range(1, order + 1)])
 
 
-class IntPolynomial:
+class IntPolynomial(_Dense):
     """Dense polynomial with exact integer coefficients.
 
     Trailing zero coefficients are trimmed, so the highest-index coefficient
     is nonzero unless the polynomial is zero (stored as the empty tuple,
-    degree -1).
+    degree -1).  An ``int`` operand is the constant polynomial.
     """
 
     def __init__(self, coeffs: Iterable[int] = ()):
@@ -248,51 +252,19 @@ class IntPolynomial:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def coefficient(self, i: int) -> int:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return 0
+    def _operand(self, other):
+        if isinstance(other, int):
+            return IntPolynomial([other])
+        return other if isinstance(other, IntPolynomial) else None
 
-    def padded(self, length: int) -> tuple[int, ...]:
-        return self.coeffs + (0,) * (length - len(self.coeffs))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"IntPolynomial({list(self.coeffs)!r})"
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPolynomial(
-            [self.coefficient(i) + other.coefficient(i) for i in range(n)]
-        )
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPolynomial(
-            [self.coefficient(i) - other.coefficient(i) for i in range(n)]
-        )
-
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial([-c for c in self.coeffs])
+    _pairs = staticmethod(partial(zip_longest, fillvalue=0))  # padded to the longer
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPolynomial([c * other for c in self.coeffs])
-        if not self.coeffs or not other.coeffs:
-            return IntPolynomial()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPolynomial(out)
+        """The full product, by ``_convolve``."""
+        if (other := self._operand(other)) is None:
+            return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        return IntPolynomial(_convolve(a, b, max(len(a) + len(b) - 1, 0)))
 
     __rmul__ = __mul__
 
@@ -302,9 +274,9 @@ class IntPolynomial:
         return IntPolynomial(power(self.coeffs, exponent, self.degree * exponent + 1))
 
     def shifted(self, j: int) -> "IntPolynomial":
-        """Multiply by x^j."""
-        if not self.coeffs:
-            return IntPolynomial()
+        """Multiply by x^j, for j >= 0."""
+        if j < 0:
+            raise ValueError("a polynomial shift must be non-negative")
         return IntPolynomial((0,) * j + self.coeffs)
 
     def reversal(self, length: int | None = None) -> "IntPolynomial":
@@ -312,23 +284,17 @@ class IntPolynomial:
         n = len(self.coeffs) if length is None else length
         if n < len(self.coeffs):
             raise ValueError("reversal length shorter than the polynomial")
-        return IntPolynomial(reversed(self.padded(n)))
+        return IntPolynomial((0,) * (n - len(self.coeffs)) + self.coeffs[::-1])
 
     def divexact(self, d: int) -> "IntPolynomial":
         """Divide every coefficient by ``d``; all divisions must be exact."""
-        out = []
-        for c in self.coeffs:
-            q, r = divmod(c, d)
-            if r:
-                raise ValueError(f"coefficient {c} is not divisible by {d}")
-            out.append(q)
-        return IntPolynomial(out)
+        bad = next((c for c in self.coeffs if c % d), None)
+        if bad is not None:
+            raise ValueError(f"coefficient {bad} is not divisible by {d}")
+        return IntPolynomial(c // d for c in self.coeffs)
 
     def __call__(self, x: Scalar) -> Scalar:
         result: Scalar = 0
         for c in reversed(self.coeffs):
             result = result * x + c
         return result
-
-    def to_series(self, order: int) -> TruncatedSeries:
-        return TruncatedSeries(self.coeffs, order)

@@ -57,7 +57,7 @@ def test_pk_degree_and_low_coefficients(m):
         p = pk_by_recurrence(m, k)
         assert 1 <= p.degree <= k
         cutoff = -(-k // m)  # ceil(k/m)
-        assert all(p.coefficient(i) == 0 for i in range(cutoff))
+        assert not any(p.coeffs[:cutoff])
         assert p(1) == 1
     if m == 1:
         assert all(
@@ -261,8 +261,9 @@ def _column_by_inverse_power(k, m, sign, order):
     inv_geom = TruncatedSeries([1, -1], order) ** (-(k + 1))
     pk = pk_by_recurrence(m, k)
     if sign == "+":
-        return inv_geom * pk.to_series(order)
-    series = inv_geom * pk.reversal(k + 1).to_series(order) * TruncatedSeries([0, 1], order)
+        return inv_geom * TruncatedSeries(pk.coeffs, order)
+    reversed_pk = TruncatedSeries(pk.reversal(k + 1).coeffs, order)
+    series = inv_geom * reversed_pk * TruncatedSeries([0, 1], order)
     return -series if k & 1 else series
 
 

@@ -93,12 +93,6 @@ def test_pow_negative_requires_unit():
         TruncatedSeries([0, 1], 3) ** -1
 
 
-def test_derivative():
-    assert TruncatedSeries([1, 1, 1], 2).derivative().coeffs == (1, 2)
-    assert TruncatedSeries([7], 0).derivative().coeffs == (0,)
-    assert TruncatedSeries([1, 1, 1, 1], 3).derivative().coeffs == (1, 2, 3)
-
-
 def test_compose_square_substitution():
     outer = TruncatedSeries([1, 1, 1], 4)
     inner = TruncatedSeries([0, 0, 1], 4)
@@ -192,6 +186,18 @@ def test_mul_matches_a_direct_convolution(a, b, order_a, order_b, frac_a, frac_b
     assert all(c == 0 for c in product.coeffs[start:])
     if not (frac_a or frac_b):
         assert all(isinstance(c, int) for c in product.coeffs)
+
+
+@given(sparse_entries, sparse_entries, st.integers(0, 20))
+def test_both_types_multiply_by_the_same_kernel(a, b, order):
+    # a polynomial product keeps full degree, trailing zeros trimmed; a
+    # series product at any order is its prefix
+    full = _convolution(a, b, max(len(a) + len(b) - 1, 0))
+    while full and full[-1] == 0:
+        full.pop()
+    assert (IntPolynomial(a) * IntPolynomial(b)).coeffs == tuple(full)
+    product = TruncatedSeries(a, order) * TruncatedSeries(b, order)
+    assert list(product.coeffs) == (full + [0] * (order + 1))[: order + 1]
 
 
 def test_mul_by_a_shift_costs_the_order_not_its_square():
@@ -303,6 +309,16 @@ def test_division_by_a_polynomial_costs_the_order_times_its_degree():
     elapsed = time.perf_counter() - start
     assert quotient == TruncatedSeries([(k + 1) * (k + 2) // 2 for k in range(order + 1)])
     assert elapsed < 0.5
+
+
+@pytest.mark.parametrize("coeffs", [[1, 1], [0, 2], [], [3]])
+@pytest.mark.parametrize("e", [-1, 0, 1, 2])
+def test_power_to_length_zero_is_empty(coeffs, e):
+    if e < 0 and not (coeffs and coeffs[0]):
+        with pytest.raises(ZeroConstantTerm):
+            power(coeffs, e, 0)
+    else:
+        assert power(coeffs, e, 0) == []
 
 
 def test_power_negative_needs_nonzero_constant():
@@ -433,3 +449,43 @@ def test_int_polynomial_divexact():
     assert IntPolynomial([2, 4]).divexact(2).coeffs == (1, 2)
     with pytest.raises(ValueError):
         IntPolynomial([1, 2]).divexact(2)
+
+
+def test_int_polynomial_shift():
+    assert IntPolynomial([1, 2]).shifted(2) == IntPolynomial([0, 0, 1, 2])
+    assert IntPolynomial().shifted(3) == IntPolynomial()
+    with pytest.raises(ValueError):
+        IntPolynomial([0, 1]).shifted(-1)
+
+
+@pytest.mark.parametrize(
+    "operation",
+    [
+        lambda: TruncatedSeries([1, 1]) * IntPolynomial([1, 2]),
+        lambda: IntPolynomial([1, 2]) * TruncatedSeries([1, 1]),
+        lambda: TruncatedSeries([1, 1]) + IntPolynomial([1, 2]),
+        lambda: IntPolynomial([1, 2]) - TruncatedSeries([1, 1]),
+        lambda: TruncatedSeries([1, 1]) / IntPolynomial([1]),
+        lambda: IntPolynomial([1, 2]) * Fraction(1, 2),
+        lambda: IntPolynomial([1, 2]) + Fraction(1, 2),
+        lambda: TruncatedSeries([1, 1]) * 0.5,
+        lambda: IntPolynomial([1, 2]) * 2.0,
+    ],
+)
+def test_mixed_operands_raise_type_error(operation):
+    with pytest.raises(TypeError):
+        operation()
+
+
+def test_exact_scalar_operands():
+    p = IntPolynomial([1, 2])
+    assert p + 1 == 1 + p == IntPolynomial([2, 2])
+    assert p - 1 == IntPolynomial([0, 2])
+    assert 1 - p == IntPolynomial([0, -2])
+    assert 3 * p == p * 3 == IntPolynomial([3, 6])
+    s = TruncatedSeries([1, 2], 2)
+    half = Fraction(1, 2)
+    assert s * half == half * s == TruncatedSeries([half, 1, 0])
+    assert s + half == half + s == TruncatedSeries([Fraction(3, 2), 2, 0])
+    assert 1 - s == TruncatedSeries([0, -2, 0])
+    assert s / 2 == s * half
