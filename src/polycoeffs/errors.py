@@ -22,11 +22,12 @@ class DomainError(ValueError):
 
 
 class MismatchError(RuntimeError):
-    """A built-in self-check disagreed with direct computation.
+    """A built-in self-check found two computations that should agree apart.
 
     This signals an implementation bug, never bad user input.  ``params``
     names the point that disagreed, ``computed`` is the checked value and
-    ``expected`` the direct one; each is ``None`` when the check has none.
+    ``expected`` the value it should equal; each is ``None`` when the check
+    has none.
     """
 
     def __init__(self, message: str, *, params=None, computed=None, expected=None):

@@ -11,7 +11,10 @@ of y summed into p_m(y) and p_m(y) - b y p_m'(y), then one power of the
 first and one division by the second, is independent of that formula, and
 its check reads ``coeff`` at other points, <a + b j, j>.
 Every series built here is checked against direct coefficient computation
-before it is returned.  Each expansion is priced next to its code, in work
+before it is returned, and every check here, of a series or of an identity,
+goes through one comparison, ``_require_agreement``: it returns ``True`` or
+raises ``MismatchError`` with the parameters and both values of the first
+term that differs.  Each expansion is priced next to its code, in work
 units of about a nanosecond, as ``coefficients`` prices ``coeff``:
 ``pk_cost``, ``column_cost`` and ``carlitz_cost``.
 """
@@ -52,11 +55,6 @@ def _pk_sequence(m: int) -> Iterator[IntPolynomial]:
         yield p
 
 
-def _pk_list(m: int, kmax: int) -> list[IntPolynomial]:
-    """P_0 .. P_kmax by the recurrence P_k = P_{k-1} - x(1-x)^m P_{k-m-1}."""
-    return list(islice(_pk_sequence(m), kmax + 1))
-
-
 def pk_by_recurrence(m: int, k: int) -> IntPolynomial:
     """The k-th column polynomial from its three-term recurrence.
 
@@ -88,13 +86,12 @@ def _pk_bits(m: int, k: int) -> int:
 
 def pk_by_explicit(m: int, k: int) -> IntPolynomial:
     """The k-th column polynomial from its closed sum,
-    sum_i <i, k-i>_{m-1} x^i (1-x)^(k-i) with i running from ceil(k/m) to k."""
+    sum_i <i, k-i>_{m-1} x^i (1-x)^(k-i) with i running from ceil(k/m) to k;
+    for k < 0 the sum is empty, and P_k = 0."""
     _require_degree(m)
-    if k < 0:
-        raise ValueError("k must be non-negative")
     one_minus_x = IntPolynomial([1, -1])
     total = IntPolynomial()
-    for i in range(-(-k // m), k + 1):
+    for i in range(max(-(-k // m), 0), k + 1):
         c = row(i, m - 1, k - i)[k - i]
         if c:
             total = total + (one_minus_x ** (k - i) * c).shifted(i)
@@ -112,42 +109,32 @@ def pk_gf_check(m: int, order_y: int) -> bool:
     _require_degree(m)
     if order_y < 0:
         raise ValueError("order_y must be non-negative")
-    ps = [pk_by_explicit(m, j) for j in range(order_y + 1)]
+    ps = [pk_by_explicit(m, j) for j in range(-m - 1, order_y + 1)]  # P_(-m-1) .. P_order_y
     kernel = _shift_kernel(m)
-    zero = IntPolynomial()
-    for j in range(order_y + 1):
-        lhs = ps[j]
-        if j >= 1:
-            lhs = lhs - ps[j - 1]
-        if j - m - 1 >= 0:
-            lhs = lhs + kernel * ps[j - m - 1]
-        if j == 0:
-            expected = IntPolynomial([1])
-        elif j == 1:
-            expected = IntPolynomial([-1, 1])
-        else:
-            expected = zero
-        if lhs != expected:
-            return False
-    return True
+    lhs = [ps[j + m + 1] - ps[j + m] + kernel * ps[j] for j in range(order_y + 1)]
+    rhs = [IntPolynomial([1]), IntPolynomial([-1, 1]), *[IntPolynomial()] * order_y]
+    return _require_agreement(lhs, rhs[:order_y + 1], "P_k generating identity", {"m": m}, "j",
+                              at="y^{}", sides=("the cleared sum", "1 + (x - 1) y"))
 
 
-def _require_agreement(
-    series: TruncatedSeries, expected, what: str, params: dict, index: str
-) -> None:
-    """Raise ``MismatchError`` at the first power of x where ``series``
-    differs from ``expected``, the directly computed coefficients in order;
-    its params are ``params`` plus that power under the name ``index``."""
-    for i, want in enumerate(expected):
-        if series[i] != want:
+def _require_agreement(computed, expected, what: str, params: dict, index: str,
+                       at: str = "x^{}", sides=("series", "direct computation")) -> bool:
+    """Every self-check here: ``True`` when the equal-length sequences
+    ``computed`` and ``expected`` agree term by term, else ``MismatchError``
+    at the first term that differs.  Its params are ``params`` plus that
+    term's index under the name ``index``; the message places the term by
+    ``at`` and names the two sides by ``sides``."""
+    for i, (got, want) in enumerate(zip(computed, expected, strict=True)):
+        if got != want:
             fixed = ", ".join(f"{key}={value}" for key, value in params.items())
             raise MismatchError(
-                f"{what} ({fixed}) disagrees at x^{i}: "
-                f"series gives {series[i]}, direct computation gives {want}",
+                f"{what} ({fixed}) disagrees at {at.format(i)}: "
+                f"{sides[0]} gives {got}, {sides[1]} gives {want}",
                 params={**params, index: i},
-                computed=series[i],
+                computed=got,
                 expected=want,
             )
+    return True
 
 
 @dataclass(frozen=True)
@@ -189,7 +176,7 @@ def column_gf(k: int, m: int, sign: str, order: int) -> ColumnGF:
     for _ in range(k + 1):  # divide by 1 - x
         terms = accumulate(terms)
     series = TruncatedSeries(terms)
-    _require_agreement(series, expected, "column GF", {"k": k, "m": m, "sign": sign}, "n")
+    _require_agreement(series.coeffs, expected, "column GF", {"k": k, "m": m, "sign": sign}, "n")
     return ColumnGF(k, m, sign, series)
 
 
@@ -208,24 +195,21 @@ def pk2_closed_form_check(k_max: int) -> bool:
     """Check the m = 2 closed form of the column polynomials.
 
     ((x+s)^(k+1) - (x-s)^(k+1)) / (2^(k+1) s) with s^2 = x(4-3x) is expanded
-    binomially; only even powers of s survive, so the result is an exact
-    integer polynomial once divided by 2^k.  Compared against the recurrence
+    binomially; only even powers of s survive, so 2^k times it is an integer
+    polynomial.  Compared against 2^k P_k from one pass of the recurrence
     for every k up to ``k_max``.
     """
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
     s_squared = IntPolynomial([0, 4, -3])
-    for k in range(k_max + 1):
-        total = IntPolynomial()
-        for i in range(0, (k + 1) // 2 + 1):
-            j = 2 * i + 1
-            if j > k + 1:
-                break
-            term = (s_squared ** i * math.comb(k + 1, j)).shifted(k - 2 * i)
-            total = total + term
-        if total.divexact(2 ** k) != pk_by_recurrence(2, k):
-            return False
-    return True
+    closed = [
+        sum(((s_squared ** i * math.comb(k + 1, 2 * i + 1)).shifted(k - 2 * i)
+             for i in range(k // 2 + 1)), IntPolynomial())
+        for k in range(k_max + 1)
+    ]
+    scaled = [p * 2 ** k for k, p in enumerate(islice(_pk_sequence(2), k_max + 1))]
+    return _require_agreement(closed, scaled, "P_k closed form", {"m": 2}, "k",
+                              at="k={}", sides=("the closed form", "2^k P_k"))
 
 
 @dataclass(frozen=True)
@@ -236,33 +220,32 @@ class FNumberSeq:
     values: tuple[int, ...]
 
 
+def _f_number_sides(m: int, count: int) -> tuple[list[Fraction], list[int]]:
+    """f_0 .. f_(count-1) two ways: 2^n P_n(1/2), exactly, from one pass of
+    the column polynomials, and the recurrence f_n = 2 f_(n-1) - f_(n-m-1)
+    from f_0 = f_1 = 1, terms with negative index read as 0."""
+    half = Fraction(1, 2)
+    direct = [2 ** n * p(half) for n, p in enumerate(islice(_pk_sequence(m), count))]
+    recurrence = [1, 1][:count]
+    for n in range(2, count):
+        recurrence.append(2 * recurrence[n - 1] - (recurrence[n - m - 1] if n > m else 0))
+    return direct, recurrence
+
+
 def f_numbers(m: int, count: int) -> FNumberSeq:
     """The first ``count`` values f_0, f_1, ... for the given degree.
 
-    Each value is computed exactly as 2^n P_n(1/2) (integrality is checked),
-    then the recurrence f_n = 2 f_{n-1} - f_{n-m-1} (terms with negative
-    index read as 0) is asserted for n >= 2.  For m = 2 these are the
-    Fibonacci numbers shifted by one.
+    Each value is computed exactly as 2^n P_n(1/2) and compared with the
+    recurrence f_n = 2 f_{n-1} - f_{n-m-1}; a value that is not an integer
+    cannot agree.  For m = 2 these are the Fibonacci numbers shifted by one.
     """
     _require_degree(m)
     if count < 1:
         raise ValueError("count must be at least 1")
-    half = Fraction(1, 2)
-    ps = _pk_list(m, count - 1)
-    values: list[int] = []
-    for n in range(count):
-        v = (2 ** n) * ps[n](half)
-        if v.denominator != 1:
-            raise MismatchError(f"2^{n} P_{n}(1/2) is not an integer for m={m}",
-                                params={"m": m, "n": n}, computed=v.denominator, expected=1)
-        values.append(int(v))
-    for n in range(2, count):
-        lag = values[n - m - 1] if n - m - 1 >= 0 else 0
-        if values[n] != 2 * values[n - 1] - lag:
-            raise MismatchError(f"f-number recurrence fails at n={n} for m={m}",
-                                params={"m": m, "n": n}, computed=values[n],
-                                expected=2 * values[n - 1] - lag)
-    return FNumberSeq(m, tuple(values))
+    direct, recurrence = _f_number_sides(m, count)
+    _require_agreement(direct, recurrence, "f-numbers", {"m": m}, "n",
+                       at="n={}", sides=("2^n P_n(1/2)", "the recurrence"))
+    return FNumberSeq(m, tuple(recurrence))
 
 
 def carlitz_cost(a: int, b: int, m: int, order: int) -> float:
@@ -326,7 +309,7 @@ def carlitz_gf(a: int, b: int, m: int, order: int) -> TruncatedSeries:
                 denominator[j] += weight * c
     series = TruncatedSeries(py) ** (a + 1) / TruncatedSeries(denominator)
     expected = (coeff(a + b * j, j, m) for j in range(order + 1))
-    _require_agreement(series, expected, "diagonal GF", {"a": a, "b": b, "m": m}, "j")
+    _require_agreement(series.coeffs, expected, "diagonal GF", {"a": a, "b": b, "m": m}, "j")
     return series
 
 
@@ -340,4 +323,5 @@ def euler_gf_check(order: int) -> bool:
         raise ValueError("order must be non-negative")
     s = TruncatedSeries([coeff(k, k, 2) for k in range(order + 1)])
     product = s * s * TruncatedSeries([1, -2, -3], order)
-    return product == TruncatedSeries([1], order)
+    return _require_agreement(product.coeffs, [1] + [0] * order, "Euler GF", {"m": 2}, "n",
+                              sides=("S(x)^2 (1+x)(1-3x)", "1"))

@@ -51,7 +51,7 @@ from fractions import Fraction
 from typing import Any, Callable, Collection, Iterator, Mapping
 
 from .coefficients import binom, chi, coeff, multinomial_oracle, row
-from .genfun import _pk_list
+from .genfun import _f_number_sides
 
 
 def holds(lhs, rhs, tolerance: float = 0) -> bool:
@@ -488,19 +488,10 @@ def _check_chi_convolution(grid) -> Iterator[Block]:
 
 
 def _check_f_numbers_column(grid) -> Iterator[Block]:
-    half = Fraction(1, 2)
     ns = grid["n"]
     for m in grid["m"]:
-        ps = _pk_list(m, max(ns))
-        f_rec = []
-        for n in range(max(ns) + 1):
-            if n <= 1:
-                f_rec.append(1)
-            else:
-                lag = f_rec[n - m - 1] if n - m - 1 >= 0 else 0
-                f_rec.append(2 * f_rec[n - 1] - lag)
-        lhs = [2 ** (n + 1) * ps[n](half) for n in ns]
-        yield _n_block(m, ns, lhs, [2 * f_rec[n] for n in ns])
+        direct, recurrence = _f_number_sides(m, max(ns) + 1)
+        yield _n_block(m, ns, [2 * direct[n] for n in ns], [2 * recurrence[n] for n in ns])
 
 
 def _check_alternating_diagonal(grid) -> Iterator[Block]:

@@ -279,19 +279,11 @@ class IntPolynomial(_Dense):
             raise ValueError("a polynomial shift must be non-negative")
         return IntPolynomial((0,) * j + self.coeffs)
 
-    def reversal(self, length: int | None = None) -> "IntPolynomial":
+    def reversal(self, length: int) -> "IntPolynomial":
         """x^(length-1) * p(1/x), the coefficient-reversed polynomial."""
-        n = len(self.coeffs) if length is None else length
-        if n < len(self.coeffs):
+        if length < len(self.coeffs):
             raise ValueError("reversal length shorter than the polynomial")
-        return IntPolynomial((0,) * (n - len(self.coeffs)) + self.coeffs[::-1])
-
-    def divexact(self, d: int) -> "IntPolynomial":
-        """Divide every coefficient by ``d``; all divisions must be exact."""
-        bad = next((c for c in self.coeffs if c % d), None)
-        if bad is not None:
-            raise ValueError(f"coefficient {bad} is not divisible by {d}")
-        return IntPolynomial(c // d for c in self.coeffs)
+        return IntPolynomial((0,) * (length - len(self.coeffs)) + self.coeffs[::-1])
 
     def __call__(self, x: Scalar) -> Scalar:
         result: Scalar = 0

@@ -252,11 +252,14 @@ def integral_coeff(n: int, k: int, m: int, tolerance: float = 1e-8) -> NumericCh
 
     Gauss-Legendre with 64 nodes over [0, pi/2]; the integrand's removable
     singularity at t = 0 is patched with its limit (m+1)^n.  Only n >= 0
-    keeps the integrand bounded.
+    keeps the integrand bounded; ``TooLarge`` is raised when that bound, or
+    m + 1 itself, is at least 2^1024, past the largest float.
     """
     _require_degree(m)
     if n < 0:
         raise NegativeN("the integral representation needs n >= 0")
+    if max(n, 1) * math.log2(m + 1) >= 1024:
+        raise TooLarge("the integral representation needs (m+1)^max(n, 1) below 2^1024")
     return next(_integral_checks(n, m, (k,), tolerance))
 
 

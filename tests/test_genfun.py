@@ -45,7 +45,7 @@ def test_pk_explicit_matches_hand_expansion():
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_pk_recurrence_equals_explicit(m):
-    for k in range(0, 21):
+    for k in range(-3, 21):
         assert pk_by_recurrence(m, k) == pk_by_explicit(m, k)
 
 
@@ -199,44 +199,93 @@ def test_column_mismatch_is_distinguishable():
     assert not issubclass(MismatchError, ValueError)
 
 
+def _skewed_coeff(exact):
+    # one off by one in the column k = 2 and one on the diagonal <j, j>
+    def skewed(n, k, m):
+        return exact(n, k, m) + ((n, k, m) in ((3, 2, 2), (3, 3, 2)))
+    return skewed
+
+
+def _skewed_pk(n, skew):
+    # P_n replaced by skew(P_n) in every pass of the recurrence
+    def wrap(exact):
+        def skewed(m):
+            for j, p in enumerate(exact(m)):
+                yield skew(p) if j == n else p
+        return skewed
+    return wrap
+
+
+def _skewed_explicit(exact):
+    # P_4 plus 1 at m = 2
+    def skewed(m, k):
+        return exact(m, k) + int((m, k) == (2, 4))
+    return skewed
+
+
 @pytest.mark.parametrize(
-    "build, message, params, computed",
+    "target, skew, build, message, params, computed, expected",
     [
         (
-            lambda: column_gf(2, 2, "+", 5),
+            "coeff", _skewed_coeff, lambda: column_gf(2, 2, "+", 5),
             "column GF (k=2, m=2, sign=+) disagrees at x^3: "
             "series gives 6, direct computation gives 7",
-            {"k": 2, "m": 2, "sign": "+", "n": 3},
-            6,
+            {"k": 2, "m": 2, "sign": "+", "n": 3}, 6, 7,
         ),
         (
-            lambda: carlitz_gf(0, 1, 2, 5),
+            "coeff", _skewed_coeff, lambda: carlitz_gf(0, 1, 2, 5),
             "diagonal GF (a=0, b=1, m=2) disagrees at x^3: "
             "series gives 7, direct computation gives 8",
-            {"a": 0, "b": 1, "m": 2, "j": 3},
-            7,
+            {"a": 0, "b": 1, "m": 2, "j": 3}, 7, 8,
+        ),
+        (
+            # 2^3 * (1/2)^4 = 1/2, never an integer
+            "_pk_sequence", _skewed_pk(3, lambda p: IntPolynomial([0, 0, 0, 0, 1])),
+            lambda: f_numbers(2, 8),
+            "f-numbers (m=2) disagrees at n=3: 2^n P_n(1/2) gives 1/2, the recurrence gives 3",
+            {"m": 2, "n": 3}, Fraction(1, 2), 3,
+        ),
+        (
+            # 2^4 (P_4(1/2) + 1) = f_4 + 16
+            "_pk_sequence", _skewed_pk(4, lambda p: p + 1), lambda: f_numbers(2, 8),
+            "f-numbers (m=2) disagrees at n=4: 2^n P_n(1/2) gives 21, the recurrence gives 5",
+            {"m": 2, "n": 4}, 21, 5,
+        ),
+        (
+            # the cleared sum's y^4 term is P_4 - P_3 + x(1-x)^2 P_1, plus 1
+            "pk_by_explicit", _skewed_explicit, lambda: pk_gf_check(2, 6),
+            "P_k generating identity (m=2) disagrees at y^4: "
+            "the cleared sum gives IntPolynomial([1]), 1 + (x - 1) y gives IntPolynomial([])",
+            {"m": 2, "j": 4}, IntPolynomial([1]), IntPolynomial(),
+        ),
+        (
+            # 2^3 P_3 = 16x^2 - 8x^3, and 8 more from P_3 + 1
+            "_pk_sequence", _skewed_pk(3, lambda p: p + 1), lambda: pk2_closed_form_check(6),
+            "P_k closed form (m=2) disagrees at k=3: the closed form gives "
+            "IntPolynomial([0, 0, 16, -8]), 2^k P_k gives IntPolynomial([8, 0, 16, -8])",
+            {"m": 2, "k": 3}, IntPolynomial([0, 0, 16, -8]), IntPolynomial([8, 0, 16, -8]),
+        ),
+        (
+            # S's x^3 term 7 + 1 adds 2 S_0 = 2 to S(x)^2 at x^3
+            "coeff", _skewed_coeff, lambda: euler_gf_check(6),
+            "Euler GF (m=2) disagrees at x^3: S(x)^2 (1+x)(1-3x) gives 2, 1 gives 0",
+            {"m": 2, "n": 3}, 2, 0,
         ),
     ],
-    ids=["column", "diagonal"],
+    ids=["column", "diagonal", "f-numbers-integral", "f-numbers-recurrence",
+         "pk-identity", "pk2-closed-form", "euler"],
 )
 def test_forced_mismatch_carries_params_and_both_values(
-    monkeypatch, build, message, params, computed
+    monkeypatch, target, skew, build, message, params, computed, expected
 ):
     from polycoeffs import genfun
 
-    exact = genfun.coeff
-
-    def skewed_coeff(n, k, m):
-        # one off by one in the column k = 2 and one on the diagonal <j, j>
-        return exact(n, k, m) + ((n, k, m) in ((3, 2, 2), (3, 3, 2)))
-
-    monkeypatch.setattr(genfun, "coeff", skewed_coeff)
+    monkeypatch.setattr(genfun, target, skew(getattr(genfun, target)))
     with pytest.raises(MismatchError) as caught:
         build()
     assert str(caught.value) == message
     assert caught.value.params == params
-    assert caught.value.computed == computed
-    assert caught.value.expected == computed + 1
+    assert (caught.value.computed, caught.value.expected) == (computed, expected)
 
 
 def test_mismatch_context_defaults_to_none():
@@ -323,35 +372,3 @@ def test_pk_past_the_degree_needs_no_kernel():
     for k in (0, 1, 5):
         assert pk_by_recurrence(100_000, k) == IntPolynomial([1] if k == 0 else [0, 1])
     assert time.perf_counter() - start < 0.5
-
-
-@pytest.mark.parametrize(
-    "n, skew, message, params, computed, expected",
-    [
-        # 2^3 * (1/2)^4 = 1/2
-        (3, lambda p: IntPolynomial([0, 0, 0, 0, 1]),
-         "2^3 P_3(1/2) is not an integer for m=2", {"m": 2, "n": 3}, 2, 1),
-        # 2^4 (P_4(1/2) + 1) = f_4 + 16
-        (4, lambda p: p + IntPolynomial([1]),
-         "f-number recurrence fails at n=4 for m=2", {"m": 2, "n": 4}, 21, 5),
-    ],
-    ids=["integral", "recurrence"],
-)
-def test_f_number_self_checks_carry_params_and_both_values(
-    monkeypatch, n, skew, message, params, computed, expected
-):
-    from polycoeffs import genfun
-
-    exact = genfun._pk_list
-
-    def skewed(m, kmax):
-        ps = exact(m, kmax)
-        ps[n] = skew(ps[n])
-        return ps
-
-    monkeypatch.setattr(genfun, "_pk_list", skewed)
-    with pytest.raises(MismatchError) as caught:
-        f_numbers(2, 8)
-    assert str(caught.value) == message
-    assert caught.value.params == params
-    assert (caught.value.computed, caught.value.expected) == (computed, expected)

@@ -445,12 +445,6 @@ def test_int_polynomial_eval_and_reversal():
     assert IntPolynomial([1]).reversal(1).coeffs == (1,)
 
 
-def test_int_polynomial_divexact():
-    assert IntPolynomial([2, 4]).divexact(2).coeffs == (1, 2)
-    with pytest.raises(ValueError):
-        IntPolynomial([1, 2]).divexact(2)
-
-
 def test_int_polynomial_shift():
     assert IntPolynomial([1, 2]).shifted(2) == IntPolynomial([0, 0, 1, 2])
     assert IntPolynomial().shifted(3) == IntPolynomial()

@@ -175,6 +175,18 @@ def test_integral_known_values():
     assert integral_coeff(2, 2, 2).passed
 
 
+@pytest.mark.parametrize("n, m", [(700, 2), (1024, 1), (1, 2 ** 1024), (0, 2 ** 1024)])
+def test_integral_refuses_a_kernel_past_float_range(n, m):
+    # past float range the kernel's power, float(coeff) or the frequency
+    # (m+1) t overflowed, or at (1024, 1) the quadrature read 1.2e306
+    with pytest.raises(TooLarge):
+        integral_coeff(n, 5, m)
+
+
+def test_integral_evaluates_a_kernel_just_inside_float_range():
+    assert math.isfinite(integral_coeff(1023, 0, 1).computed)
+
+
 def _integral_reference(n, k, m):
     # the quadrature one k at a time, every node and power recomputed
     total = 0.0
